@@ -23,15 +23,17 @@ data that separates same-ring M8 pairs (the non-rigidity witness).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .chern import BundleDescriptor
-from .isosearch import SearchVerdict, search, verify
+from .isosearch import SearchVerdict, check_box, search, verify
 from .polyring import Poly
 from .towers import RingPresentation, Stage, TowerSpec, presentation
 
@@ -388,7 +390,8 @@ def _cached_search(
     Keyed by (schema, tool version, both presentation JSONs, bound), so a
     version bump or any presentation change invalidates old entries.  A
     cached positive verdict is re-verified before being trusted; anything
-    unreadable falls through to a recompute.
+    unreadable falls through to a recompute.  A failed cache write costs
+    only a warning on stderr: the computed verdict is still returned.
     """
     if cache_dir is None:
         return search(pres_a, pres_b, bound)
@@ -410,11 +413,16 @@ def _cached_search(
     except (OSError, ValueError, KeyError, TypeError):
         pass
     verdict = search(pres_a, pres_b, bound)
-    os.makedirs(cache_dir, exist_ok=True)
     tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(verdict.to_json(), fh)
-    os.replace(tmp, path)
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(verdict.to_json(), fh)
+        os.replace(tmp, path)
+    except OSError as exc:
+        print(f"warning: verdict not cached: {exc}", file=sys.stderr)
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
     return verdict
 
 
@@ -433,6 +441,12 @@ def _sweep_worker(args: tuple) -> tuple:
     return idx, _cached_search(pres_a, pres_b, bound, cache_dir).to_json()
 
 
+def _worker_count(jobs: int, rows: int) -> int:
+    """Worker processes for a sweep: no more than were asked for, than the
+    host has processors, or than there are rows."""
+    return max(1, min(jobs, os.cpu_count() or 1, rows))
+
+
 def sweep_distinctness(
     theorem: str = "main",
     n: int = 4,
@@ -445,7 +459,8 @@ def sweep_distinctness(
     Every unordered pair (self pairs included) gets a row; a row passes
     when the search verdict matches the expected classification.  Rows are
     emitted in planning order regardless of ``jobs``, so reports are
-    deterministic up to the caller-supplied metadata.
+    deterministic up to the caller-supplied metadata.  ``jobs`` is an upper
+    bound on worker processes (see ``_worker_count``).
     """
     if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem tag {theorem!r}")
@@ -453,14 +468,20 @@ def sweep_distinctness(
         raise ValueError("range must be non-negative")
     if bound < 1:
         raise ValueError("bound must be at least 1")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    check_box(
+        max(build(f).ngens for f in families_for_theorem(theorem, n)), bound
+    )
     plan = _plan_rows(theorem, n)
     args = [
         (i, str(row["a"]), str(row["b"]), bound, cache_dir)
         for i, row in enumerate(plan)
     ]
     verdicts: dict = {}
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = _worker_count(jobs, len(args))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for idx, vj in pool.map(_sweep_worker, args):
                 verdicts[idx] = vj
     else:

@@ -391,7 +391,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--bound", type=int, default=3)
     sweep.add_argument("--out", help="write the JSON report here")
     sweep.add_argument(
-        "--jobs", type=int, default=1, help="parallel worker processes"
+        "--jobs", type=int, default=1,
+        help="most worker processes to run in parallel (default 1)",
     )
     sweep.set_defaults(func=_cmd_sweep)
 

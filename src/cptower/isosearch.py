@@ -16,20 +16,38 @@ non-isomorphism proof.  Reports should label it "bounded non-existence".
 
 Enumeration order is part of the contract: matrices are tried in
 lexicographic order of the column-major flattened entry vector, entries
-running -B..B, so runs are reproducible bit for bit.  The engine assigns
-whole columns left to right, which lets it (a) check each source relation as
-soon as all the generators it mentions have images, (b) discard prefixes
-whose columns are already linearly dependent (every completion has det 0),
-and (c) test |det| = 1 before the final relation checks.  None of that
-skips a certificate, so the first matrix found is the same one the plain
-flat enumeration (``search_all_reference``) finds; the tests compare the
-two engines directly.
+running -B..B, so runs are reproducible bit for bit.  The engine places
+whole columns left to right, each drawn from the box of (2B+1)^g candidate
+columns (a box above ``MAX_BOX_COLUMNS`` is refused up front).  It skips no
+certificate, so the first matrix it finds is the one the plain flat
+enumeration (``search_all_reference``) finds; the tests compare the two
+engines directly.  Its work is split by what it depends on:
+
+(a) per pair: the powers L_c, L_c^2, ... of the linear form of every box
+    column c, in the target's graded basis.  Relations must be homogeneous
+    (the search refuses others), so source relation d mentions only
+    x_0..x_d and is checked at depth d;
+(b) per prefix node: relation d, written sum_e x_d^e * P_e(x_0..x_(d-1)),
+    has its prefix parts P_e evaluated once, and they fold into one integer
+    matrix A and one constant vector k such that its image at candidate c
+    is A (L_c, L_c^2, ...) + k.  A candidate then costs a few multiply-adds,
+    and the first row of A is evaluated over the whole box at once.
+    Candidates that make the placed columns linearly dependent are dropped
+    (every completion has det 0);
+(c) at the last depth det M = cof . c is linear in the last column c, so
+    the first g-1 coordinates run in lex order and the last is solved for
+    det = +-1: at most two values, or the whole range when its cofactor is
+    zero.
+
+Every certificate the engine yields is re-checked by :func:`verify`, which
+substitutes and reduces directly and shares no code with the engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product, repeat
+from operator import add, mul
 from typing import Iterator, Sequence
 
 from .polyring import Poly
@@ -177,97 +195,40 @@ def compose(m_ab: Matrix, m_bc: Matrix) -> Matrix:
 
 # -- the search engine -----------------------------------------------------
 
-
-class _TargetTables:
-    """Structure constants of the target quotient, graded by weight.
-
-    ``mult[w][i][k]`` is the coefficient vector, over the weight-(w+1)
-    basis, of (w-basis monomial i) * x_k reduced to normal form.  Products
-    past the top weight are zero and are represented by empty vectors.
-    """
-
-    def __init__(self, pres: RingPresentation):
-        self.g = pres.ngens
-        self.maxw = sum(pres.caps)
-        self.bases = [
-            pres.graded_basis(2 * w) for w in range(self.maxw + 1)
-        ]
-        index = [
-            {m: i for i, m in enumerate(basis)} for basis in self.bases
-        ]
-        self.mult = []
-        for w in range(self.maxw):
-            dim_next = len(self.bases[w + 1])
-            level = []
-            for mono in self.bases[w]:
-                per_gen = []
-                for k in range(self.g):
-                    bumped = list(mono)
-                    bumped[k] += 1
-                    reduced = pres._reduce_monomial(tuple(bumped))
-                    vec = [0] * dim_next
-                    for m, c in reduced.items():
-                        vec[index[w + 1][m]] = c
-                    per_gen.append(vec)
-                level.append(per_gen)
-            self.mult.append(level)
-
-    def mul_linear(self, vec: list, w: int, col: Sequence[int]) -> list:
-        """Multiply a weight-w coefficient vector by the linear form with
-        generator coordinates ``col``."""
-        if w >= self.maxw:
-            return []
-        dim_next = len(self.bases[w + 1])
-        out = [0] * dim_next
-        level = self.mult[w]
-        for i, vi in enumerate(vec):
-            if not vi:
-                continue
-            per_gen = level[i]
-            for k, ck in enumerate(col):
-                if not ck:
-                    continue
-                s = vi * ck
-                tk = per_gen[k]
-                for j in range(dim_next):
-                    c = tk[j]
-                    if c:
-                        out[j] += s * c
-        return out
-
-    def relation_maps_to_zero(self, terms, cols) -> bool:
-        """Evaluate a prepared source relation on the assigned columns."""
-        acc = None
-        for coeff, exps in terms:
-            vec = [1]  # the weight-0 basis {1}
-            w = 0
-            for gidx, e in enumerate(exps):
-                for _ in range(e):
-                    vec = self.mul_linear(vec, w, cols[gidx])
-                    w += 1
-            if acc is None:
-                acc = [coeff * v for v in vec]
-            else:
-                for j, v in enumerate(vec):
-                    acc[j] += coeff * v
-        return acc is None or not any(acc)
+# The largest column box (2B+1)^g a search tabulates; a larger request is
+# refused before any table is built.
+MAX_BOX_COLUMNS = 100_000
 
 
-def _prepare_relations(pres_a: RingPresentation):
-    """Source relations as term lists, grouped by the last generator they
-    mention (the depth at which they become checkable)."""
-    groups: list[list[list]] = [[] for _ in range(pres_a.ngens)]
-    for rel in pres_a.relations:
-        depth = 0
-        terms = []
-        for mono, coeff in rel.sorted_terms(reverse=True):
-            terms.append((coeff, mono))
-            for idx in range(len(mono) - 1, -1, -1):
-                if mono[idx]:
-                    depth = max(depth, idx)
-                    break
-        groups[depth].append(terms)
-    return groups
+def check_box(g: int, bound: int) -> None:
+    """Refuse a search whose column box exceeds :data:`MAX_BOX_COLUMNS`."""
+    columns = (2 * bound + 1) ** g
+    if columns > MAX_BOX_COLUMNS:
+        raise ValueError(
+            f"bound {bound} with {g} generators gives a box of {columns} "
+            f"columns, above the limit of {MAX_BOX_COLUMNS}"
+        )
+
+
+def _lincomb(n: int, terms) -> Iterator[int]:
+    """Entrywise sum of coeff * values over the (coeff, values) pairs, each
+    values of length n, lazily (the loops run in C)."""
+    acc = repeat(0, n)
+    for coeff, values in terms:
+        if coeff != 1:
+            values = map(coeff.__mul__, values)
+        acc = map(add, acc, values)
+    return acc
+
+
+def _split_relation(rel: Poly, depth: int) -> tuple:
+    """(weight, parts) for a homogeneous relation in x_0..x_depth: parts
+    pairs every exponent e of x_depth with the terms (coeff, exponents of
+    the earlier generators) that multiply its e-th power."""
+    parts: dict[int, list] = {}
+    for mono, coeff in rel.sorted_terms(reverse=True):
+        parts.setdefault(mono[depth], []).append((coeff, mono[:depth]))
+    return rel.homogeneous_weight(), sorted(parts.items())
 
 
 def _reduce_column(pivots, col):
@@ -304,47 +265,214 @@ def _cofactors(cols: list, g: int) -> list[int]:
     return cof
 
 
+def _last_columns(cof: Sequence[int], bound: int) -> Iterator[tuple]:
+    """(box index, det) for every column c of the box [-bound, bound]^g
+    with det = cof . c = +-1, in lex order.
+
+    The first g-1 coordinates run in lex order and the last one is solved
+    for: at most two values, or the whole range when its cofactor is 0.
+    """
+    *head, last = cof
+    span = range(-bound, bound + 1)
+    # prefix sum -> (offset of the last coordinate, det) pairs completing it
+    solve: dict[int, list] = {}
+    for t in span:
+        for det in (-1, 1):
+            solve.setdefault(det - last * t, []).append((t + bound, det))
+    sums = [0]  # cof . prefix for every prefix, in lex order
+    for c in head:
+        sums = [s + c * t for s in sums for t in span]
+    width = len(span)
+    for pidx in compress(range(len(sums)), map(solve.__contains__, sums)):
+        for offset, det in solve[sums[pidx]]:
+            yield pidx * width + offset, det
+
+
+class _ColumnWalk:
+    """One search's tables, built once per pair and freed with the walk.
+
+    ``values[p][idx]`` is coordinate p of the power vector of box column
+    idx: the powers L^1, ..., L^E of its linear form L, each in the target's
+    graded basis of its weight, laid end to end (L^e starts at
+    ``offset[e]``).  At a prefix node, the source relation of that depth
+    folds into rows (entries, target): its image at candidate idx is zero
+    exactly when sum(a * values[p][idx] for p, a in entries) == target for
+    each row.
+    """
+
+    def __init__(self, pres_a: RingPresentation, pres_b: RingPresentation,
+                 bound: int):
+        self.g = pres_a.ngens
+        self.bound = bound
+        self.columns = list(product(range(-bound, bound + 1), repeat=self.g))
+        # homogeneous relation k leads with x_k^w, so it mentions only
+        # x_0..x_k and becomes checkable at depth k
+        self.relations = [
+            _split_relation(rel, k) for k, rel in enumerate(pres_a.relations)
+        ]
+        self.maxw = sum(pres_b.caps)
+        self.bases = [
+            pres_b.graded_basis(2 * w) for w in range(self.maxw + 1)
+        ]
+        self._reduce = pres_b._reduce_monomial
+        self._products: dict = {}
+        top = max(
+            e for rel in pres_a.relations for mono in rel.terms for e in mono
+        )
+        self.offset = [0, 0]
+        for e in range(1, top + 1):
+            self.offset.append(self.offset[e] + self.dim(e))
+        self.values = self._tabulate_powers(top)
+
+    def dim(self, w: int) -> int:
+        return len(self.bases[w]) if w <= self.maxw else 0
+
+    def _table(self, a: int, b: int) -> list:
+        """``table[m][i]``: basis_a[m] * basis_b[i] reduced, as (index in
+        basis_(a+b), coefficient) pairs; needs a + b <= maxw."""
+        table = self._products.get((a, b))
+        if table is None:
+            index = {m: j for j, m in enumerate(self.bases[a + b])}
+            table = [
+                [
+                    [(index[m], c) for m, c in
+                     self._reduce(tuple(map(add, u, v))).items()]
+                    for v in self.bases[b]
+                ]
+                for u in self.bases[a]
+            ]
+            self._products[(a, b)] = table
+        return table
+
+    def _mul(self, u: list, a: int, v: list, b: int) -> list:
+        """Product of a weight-a and a weight-b coordinate vector; needs
+        a + b <= maxw."""
+        out = [0] * self.dim(a + b)
+        table = self._table(a, b)
+        for m, um in enumerate(u):
+            if um:
+                row = table[m]
+                for i, vi in enumerate(v):
+                    if vi:
+                        for j, c in row[i]:
+                            out[j] += um * vi * c
+        return out
+
+    def _tabulate_powers(self, top: int) -> list:
+        n = len(self.columns)
+        # L^1: the weight-1 basis is x_0, ..., x_(g-1) in this order
+        values = [[col[k] for col in self.columns] for k in range(self.g)]
+        for e in range(2, top + 1):
+            if not self.dim(e):
+                break
+            prev, first = self.offset[e - 1], self.offset[1]
+            terms: list[list] = [[] for _ in range(self.dim(e))]
+            for m, row in enumerate(self._table(e - 1, 1)):
+                for i, targets in enumerate(row):
+                    for j, c in targets:
+                        terms[j].append(
+                            (c, map(mul, values[prev + m], values[first + i]))
+                        )
+            values.extend(list(_lincomb(n, t)) for t in terms)
+        return values
+
+    def power(self, idx: int, e: int) -> list:
+        """L^e (e >= 1) of box column idx, in the weight-e basis."""
+        return [
+            self.values[p][idx]
+            for p in range(self.offset[e], self.offset[e] + self.dim(e))
+        ]
+
+    def node_rows(self, depth: int, cols: list) -> list:
+        """Relation ``depth`` folded over the prefix columns ``cols`` (box
+        indices) into rows (entries, target)."""
+        w, parts = self.relations[depth]
+        n = self.dim(w)
+        if not n:
+            return []  # past the top weight: the image is zero anyway
+        const = [0] * n
+        coeffs: list[dict] = [{} for _ in range(n)]
+        for e, terms in parts:
+            q = [0] * self.dim(w - e)  # the prefix part, evaluated
+            for coeff, exps in terms:
+                v, a = [1], 0
+                for i, x in enumerate(exps):
+                    if x:
+                        v = self._mul(v, a, self.power(cols[i], x), x)
+                        a += x
+                for m, vm in enumerate(v):
+                    q[m] += coeff * vm
+            if e == 0:
+                const = q
+                continue
+            table = self._table(w - e, e)
+            start = self.offset[e]
+            for m, qm in enumerate(q):
+                if qm:
+                    for i, targets in enumerate(table[m]):
+                        for j, c in targets:
+                            row = coeffs[j]
+                            row[start + i] = row.get(start + i, 0) + qm * c
+        rows = []
+        for row, k in zip(coeffs, const):
+            entries = [(p, a) for p, a in row.items() if a]
+            if entries or k:  # an empty row with k != 0 fails every column
+                rows.append((entries, -k))
+        return rows
+
+    def survivors(self, rows: list) -> list:
+        """Box indices passing every row, ascending.  The first row is
+        evaluated over the whole box at once, the rest on its survivors."""
+        n = len(self.columns)
+        if not rows:
+            return range(n)
+        (entries, target), rest = rows[0], rows[1:]
+        image = _lincomb(n, ((a, self.values[p]) for p, a in entries))
+        return [
+            idx for idx in compress(range(n), map(target.__eq__, image))
+            if self.passes(rest, idx)
+        ]
+
+    def passes(self, rows: list, idx: int) -> bool:
+        values = self.values
+        return all(
+            sum(a * values[p][idx] for p, a in entries) == target
+            for entries, target in rows
+        )
+
+    def walk(self, depth: int, cols: list, pivots: list
+             ) -> Iterator[tuple[Matrix, int]]:
+        rows = self.node_rows(depth, cols)
+        columns, g = self.columns, self.g
+        if depth < g - 1:
+            for idx in self.survivors(rows):
+                reduced = _reduce_column(pivots, columns[idx])
+                if reduced is not None:
+                    yield from self.walk(
+                        depth + 1, cols + [idx], pivots + [reduced]
+                    )
+            return
+        cof = _cofactors([columns[idx] for idx in cols], g)
+        for idx, det in _last_columns(cof, self.bound):
+            if self.passes(rows, idx):
+                picked = [columns[k] for k in cols + [idx]]
+                yield tuple(tuple(c[i] for c in picked) for i in range(g)), det
+
+
 def _search_matrices(
     pres_a: RingPresentation,
     pres_b: RingPresentation,
     bound: int,
 ) -> Iterator[tuple[Matrix, int]]:
-    """Yield every certificate matrix in the contract order."""
-    g = pres_a.ngens
-    tables = _TargetTables(pres_b)
-    groups = _prepare_relations(pres_a)
-    column_space = list(product(range(-bound, bound + 1), repeat=g))
-    cols: list = [None] * g
-
-    def walk(depth: int, pivots) -> Iterator[tuple[Matrix, int]]:
-        last = depth == g - 1
-        cof = _cofactors(cols, g) if last else None
-        for col in column_space:
-            cols[depth] = col
-            if last:
-                det = sum(c * e for c, e in zip(cof, col))
-                if det != 1 and det != -1:
-                    continue
-            else:
-                reduced = _reduce_column(pivots, col)
-                if reduced is None:
-                    continue
-            ok = True
-            for terms in groups[depth]:
-                if not tables.relation_maps_to_zero(terms, cols):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if last:
-                rows = tuple(
-                    tuple(cols[k][i] for k in range(g)) for i in range(g)
-                )
-                yield rows, det
-            else:
-                yield from walk(depth + 1, pivots + [reduced])
-
-    yield from walk(0, [])
+    """Yield every certificate matrix, with its determinant, in the
+    contract order."""
+    if pres_a.ngens == 0:
+        yield (), 1
+        return
+    for pres in (pres_a, pres_b):
+        if any(rel.homogeneous_weight() is None for rel in pres.relations):
+            raise IsoShapeError("search needs homogeneous relations")
+    yield from _ColumnWalk(pres_a, pres_b, bound).walk(0, [], [])
 
 
 def _check_searchable(pres_a: RingPresentation, pres_b: RingPresentation,
@@ -355,6 +483,7 @@ def _check_searchable(pres_a: RingPresentation, pres_b: RingPresentation,
         )
     if bound < 0:
         raise ValueError("bound must be non-negative")
+    check_box(pres_a.ngens, bound)
 
 
 def search(

@@ -18,6 +18,14 @@ def cp(n: int):
     return presentation(cp_spec(n))
 
 
+def trivial_tower(*fiber_dims: int):
+    """CP^n1 x CP^n2 x ..., built stage by stage with every Chern class 0."""
+    return presentation(TowerSpec(tuple(
+        Stage(n, tuple(Poly.zero(k) for _ in range(n + 1)))
+        for k, n in enumerate(fiber_dims)
+    )))
+
+
 def hirzebruch(k: int):
     return presentation(hirzebruch_spec(k))
 

@@ -20,7 +20,7 @@ from cptower import (
     sweep_distinctness,
     verify,
 )
-from cptower.catalog import THEOREMS, _cached_search
+from cptower.catalog import THEOREMS, _cached_search, _worker_count
 from conftest import fam, pres
 
 
@@ -318,6 +318,22 @@ def test_sweep_validation():
         sweep_distinctness("main", -1, 2)
     with pytest.raises(ValueError, match="at least 1"):
         sweep_distinctness("main", 1, 0)
+    for jobs in (0, -2):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            sweep_distinctness("main", 1, 2, jobs=jobs)
+    # refused up front: 201^3 columns for the 3-generator families
+    with pytest.raises(ValueError, match="box of 8120601 columns"):
+        sweep_distinctness("three-stage", 0, 100)
+
+
+def test_worker_count_clamps_to_processors_and_rows(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    assert _worker_count(1, 50) == 1
+    assert _worker_count(3, 50) == 3
+    assert _worker_count(10**6, 50) == 4
+    assert _worker_count(10**6, 2) == 2
+    monkeypatch.setattr("os.cpu_count", lambda: None)  # unknown: one
+    assert _worker_count(8, 50) == 1
 
 
 # -- verdict cache ----------------------------------------------------------
@@ -361,3 +377,26 @@ def test_sweep_uses_cache_dir(tmp_path):
     assert len(list(tmp_path.iterdir())) > 0
     after = sweep_distinctness("three-stage", 0, 2, cache_dir=str(tmp_path))
     assert json.dumps(before, sort_keys=True) == json.dumps(after, sort_keys=True)
+
+
+def test_cached_search_survives_an_unwritable_cache(tmp_path, capsys):
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("a regular file")
+    a, b = pres("GB2:1"), pres("GB2:2")
+    verdict = _cached_search(a, b, 1, str(not_a_dir))
+    assert verdict.to_json() == search(a, b, 1).to_json()
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("warning: verdict not cached:")
+    assert not_a_dir.read_text() == "a regular file"
+
+
+def test_sweep_survives_an_unwritable_cache(tmp_path, capsys):
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("a regular file")
+    plain = sweep_distinctness("three-stage", 0, 2)
+    report = sweep_distinctness("three-stage", 0, 2, cache_dir=str(not_a_dir))
+    assert report == plain
+    lines = capsys.readouterr().err.splitlines()
+    assert lines and all(
+        line.startswith("warning: verdict not cached:") for line in lines
+    )

@@ -222,6 +222,28 @@ def test_iso_uses_cache_env(capsys, tmp_path, monkeypatch):
     assert (code2, payload2) == (code1, payload1)
 
 
+def test_iso_survives_an_unwritable_cache(capsys, tmp_path, monkeypatch):
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("a regular file")
+    monkeypatch.setenv("CPT_CACHE_DIR", str(not_a_dir))
+    code, payload, err = run_json(
+        capsys, "iso", "Eta2:0,1", "Eta2:0,2", "--bound", "2"
+    )
+    assert code == 1
+    assert payload["result"] == "none_within_bound"
+    (line,) = err.splitlines()
+    assert line.startswith("warning: verdict not cached:")
+
+
+def test_iso_refuses_an_oversized_box(capsys):
+    for extra in ((), ("--all",)):
+        code, out, err = run_cli(
+            capsys, "iso", "Zeta3:1,0,2", "Zeta3:0,1,2", "--bound", "100", *extra
+        )
+        assert code == 2 and out == ""
+        assert "box of 8120601 columns" in err
+
+
 # -- sweep ------------------------------------------------------------------
 
 
@@ -279,6 +301,37 @@ def test_sweep_failure_exits_1(capsys, monkeypatch):
     )
     assert code == 1
     assert int(payload["summary"]["failures"]) > 0
+
+
+def test_sweep_survives_an_unwritable_cache(capsys, tmp_path, monkeypatch):
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("a regular file")
+    monkeypatch.setenv("CPT_CACHE_DIR", str(not_a_dir))
+    code, payload, err = run_json(
+        capsys, "sweep", "--theorem", "three-stage", "--range", "0", "--bound", "2"
+    )
+    assert code == 0
+    assert payload["summary"] == {"pairs": "11", "failures": "0", "flagged": "1"}
+    assert err.startswith("warning: verdict not cached:")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_fewer_than_one_job(capsys, jobs):
+    code, out, err = run_cli(
+        capsys, "sweep", "--theorem", "three-stage", "--range", "0",
+        "--bound", "2", "--jobs", jobs,
+    )
+    assert code == 2 and out == ""
+    assert err.strip() == "error: jobs must be at least 1"
+
+
+def test_sweep_refuses_an_oversized_box(capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", "--theorem", "three-stage", "--range", "0",
+        "--bound", "100",
+    )
+    assert code == 2 and out == ""
+    assert "box of 8120601 columns" in err
 
 
 def test_sweep_bad_theorem_is_a_usage_error(capsys):

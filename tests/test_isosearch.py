@@ -1,5 +1,8 @@
 """Certificate verification and the bounded unimodular matrix search."""
 
+import gc
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 from cptower import (
     IsoShapeError,
     Poly,
+    RingPresentation,
     SearchVerdict,
     compose,
     invert_unimodular,
@@ -16,8 +20,13 @@ from cptower import (
     search_all_reference,
     verify,
 )
-from cptower.isosearch import images_from_matrix
-from conftest import cp, hirzebruch, pres
+from cptower.isosearch import (
+    MAX_BOX_COLUMNS,
+    _ColumnWalk,
+    _last_columns,
+    images_from_matrix,
+)
+from conftest import cp, hirzebruch, pres, trivial_tower
 
 
 # -- SearchVerdict serialization -------------------------------------------
@@ -157,6 +166,10 @@ def test_search_preconditions():
         search(cp(3), cp(3), -1)
     # bound 0 admits only the zero matrix, which has det 0
     assert search(cp(3), cp(3), 0).reason == "exhausted"
+    # no generators: the empty matrix (det 1) is the one certificate
+    point = RingPresentation((), ())
+    assert search_all(point, point, 1) == search_all_reference(point, point, 1)
+    assert search(point, point, 1).matrix == ()
 
 
 def test_found_verdicts_reverify():
@@ -181,12 +194,73 @@ def test_found_verdicts_reverify():
         ("Eta2:1,1", "Eta2:1,1", 2),
         ("M8:0,2", "M8:0,2", 2),
         ("M8:0,1", "N8:1", 2),
+        ("Zeta3:1,0,2", "Zeta3:0,1,2", 1),
+        ("Zeta3:1,0,0", "Xi3:0,0,0", 1),
+        ("Zeta3:0,0,1", "Xi3:0,0,0", 1),
+        # caps (1, 3) against (3, 1): the relations sit at different depths
+        # and weights on the two sides
+        ("CP1xCP3", "CP3xCP1", 2),
     ],
 )
 def test_pruned_engine_matches_reference(a, b, bound):
-    pa = pres(a) if ":" in a else cp(3)
-    pb = pres(b) if ":" in b else cp(3)
+    rings = {
+        "CP3": lambda: cp(3),
+        "CP1xCP3": lambda: trivial_tower(1, 3),
+        "CP3xCP1": lambda: trivial_tower(3, 1),
+    }
+    pa = rings[a]() if a in rings else pres(a)
+    pb = rings[b]() if b in rings else pres(b)
     assert search_all(pa, pb, bound) == search_all_reference(pa, pb, bound)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda g: st.lists(st.integers(-3, 3), min_size=g, max_size=g)
+    ),
+    st.integers(0, 3),
+)
+def test_last_columns_solve_the_determinant(cof, bound):
+    # solving for the last coordinate yields exactly the det = +-1 columns
+    # of the box, as box indices, in lex order
+    box = product(range(-bound, bound + 1), repeat=len(cof))
+    expected = [
+        (idx, det)
+        for idx, col in enumerate(box)
+        if (det := sum(c * e for c, e in zip(cof, col))) in (1, -1)
+    ]
+    assert list(_last_columns(cof, bound)) == expected
+
+
+def test_search_frees_its_tables_on_return():
+    # no reference cycle keeps the per-pair tables alive until a GC pass
+    gc.collect()
+    gc.disable()
+    try:
+        assert search(pres("Zeta3:1,0,2"), pres("Zeta3:0,1,2"), 2).found
+        assert search_all(pres("GB2:1"), pres("GB2:2"), 1)
+        live = [o for o in gc.get_objects() if isinstance(o, _ColumnWalk)]
+    finally:
+        gc.enable()
+    assert live == []
+
+
+def test_search_refuses_an_oversized_box():
+    a = pres("Zeta3:1,0,2")
+    assert 201 ** 3 > MAX_BOX_COLUMNS
+    for run in (search, search_all, search_all_reference):
+        with pytest.raises(ValueError, match="box of 8120601 columns"):
+            run(a, a, 100)
+
+
+def test_search_needs_homogeneous_relations():
+    # x^2 + y leads with x^2 in the degree-first order, so it is a legal
+    # relation, but the quotient is not graded
+    lopsided = RingPresentation(
+        (1, 1), (Poly(2, {(2, 0): 1, (0, 1): 1}), Poly(2, {(0, 2): 1}))
+    )
+    with pytest.raises(IsoShapeError, match="homogeneous"):
+        search(lopsided, trivial_tower(1, 1), 1)
 
 
 def test_enumeration_order_is_column_major_lex():
