@@ -49,7 +49,9 @@ from .catalog import (
     build,
     canonical_families,
     coincidence_fixtures,
+    cp_spec,
     families_for_theorem,
+    hirzebruch_spec,
     pi6_distinguish,
     pi6_record,
     presentation_of,
@@ -92,6 +94,8 @@ __all__ = [
     "Pi6Record",
     "Pi6Verdict",
     "build",
+    "cp_spec",
+    "hirzebruch_spec",
     "presentation_of",
     "stage_bundle",
     "canonical_families",

@@ -98,12 +98,25 @@ def _zeros(nvars: int, count: int) -> tuple:
     return tuple(Poly.zero(nvars) for _ in range(count))
 
 
+def cp_spec(n: int) -> TowerSpec:
+    """CP^n as a one-stage tower."""
+    return TowerSpec((Stage(n, _zeros(0, n + 1)),))
+
+
+def hirzebruch_spec(k: int) -> TowerSpec:
+    """The Hirzebruch surface H_k: P(gamma^k + eps) over CP^1."""
+    return TowerSpec((
+        Stage(1, _zeros(0, 2)),
+        Stage(1, (Poly(1, {(1,): k}), Poly.zero(1))),
+    ))
+
+
 def build(fid: FamilyId) -> TowerSpec:
     """Tower spec for a family id (any integer parameters; the canonical
     parameter domains only matter for list membership, not construction)."""
     tag, p = fid.tag, fid.params
     if tag == "CP3":
-        return TowerSpec((Stage(3, _zeros(0, 4)),))
+        return cp_spec(3)
     if tag == "GB2":
         (k,) = p
         return TowerSpec((
@@ -379,6 +392,10 @@ def _plan_rows(theorem: str, n: int) -> list[dict]:
     return plan
 
 
+# Cache directories a write already failed in, so each warns only once.
+_unwritable_cache_dirs: set = set()
+
+
 def _cached_search(
     pres_a: RingPresentation,
     pres_b: RingPresentation,
@@ -391,7 +408,8 @@ def _cached_search(
     version bump or any presentation change invalidates old entries.  A
     cached positive verdict is re-verified before being trusted; anything
     unreadable falls through to a recompute.  A failed cache write costs
-    only a warning on stderr: the computed verdict is still returned.
+    only a warning on stderr, once per directory and process: the computed
+    verdict is still returned.
     """
     if cache_dir is None:
         return search(pres_a, pres_b, bound)
@@ -420,7 +438,9 @@ def _cached_search(
             json.dump(verdict.to_json(), fh)
         os.replace(tmp, path)
     except OSError as exc:
-        print(f"warning: verdict not cached: {exc}", file=sys.stderr)
+        if cache_dir not in _unwritable_cache_dirs:
+            _unwritable_cache_dirs.add(cache_dir)
+            print(f"warning: verdict not cached: {exc}", file=sys.stderr)
         with contextlib.suppress(OSError):
             os.remove(tmp)
     return verdict
@@ -458,9 +478,10 @@ def sweep_distinctness(
 
     Every unordered pair (self pairs included) gets a row; a row passes
     when the search verdict matches the expected classification.  Rows are
-    emitted in planning order regardless of ``jobs``, so reports are
-    deterministic up to the caller-supplied metadata.  ``jobs`` is an upper
-    bound on worker processes (see ``_worker_count``).
+    searched target by target but emitted in planning order regardless of
+    ``jobs``, so reports are deterministic up to the caller-supplied
+    metadata.  ``jobs`` is an upper bound on worker processes (see
+    ``_worker_count``).
     """
     if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem tag {theorem!r}")
@@ -474,9 +495,19 @@ def sweep_distinctness(
         max(build(f).ngens for f in families_for_theorem(theorem, n)), bound
     )
     plan = _plan_rows(theorem, n)
+    # Target-major: rows with equal targets run back to back, so each
+    # target's search tables are built once (isosearch._box_powers).  Equal
+    # tower specs give equal presentations, as for M8 ids differing in alpha.
+    spec_rank: dict = {}
+    target_rank: dict = {}
+    for row in plan:
+        b = row["b"]
+        if b not in target_rank:
+            target_rank[b] = spec_rank.setdefault(build(b), len(spec_rank))
+    order = sorted(range(len(plan)), key=lambda i: target_rank[plan[i]["b"]])
     args = [
-        (i, str(row["a"]), str(row["b"]), bound, cache_dir)
-        for i, row in enumerate(plan)
+        (i, str(plan[i]["a"]), str(plan[i]["b"]), bound, cache_dir)
+        for i in order
     ]
     verdicts: dict = {}
     workers = _worker_count(jobs, len(args))

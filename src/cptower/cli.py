@@ -31,7 +31,9 @@ from .catalog import (
     FamilyId,
     _cached_search,
     build,
+    cp_spec,
     families_for_theorem,
+    hirzebruch_spec,
     sweep_distinctness,
 )
 from .chern import (
@@ -45,7 +47,6 @@ from .isosearch import search_all
 from .polyring import Poly
 from .towers import (
     RingPresentation,
-    Stage,
     TowerSpec,
     presentation,
     towerspec_from_json,
@@ -58,19 +59,6 @@ _SCHEMA = "cpt/1"
 # -- tower argument resolution ---------------------------------------------
 
 
-def _cp_spec(n: int) -> TowerSpec:
-    return TowerSpec((
-        Stage(n, tuple(Poly.zero(0) for _ in range(n + 1))),
-    ))
-
-
-def _hirzebruch_spec(k: int) -> TowerSpec:
-    return TowerSpec((
-        Stage(1, (Poly.zero(0), Poly.zero(0))),
-        Stage(1, (Poly(1, {(1,): k}), Poly.zero(1))),
-    ))
-
-
 def resolve_ring_arg(text: str) -> TowerSpec:
     """Catalog id, base id (CPn / Hk), or path to a tower JSON file."""
     if os.path.sep in text or text.endswith(".json") or os.path.exists(text):
@@ -78,10 +66,10 @@ def resolve_ring_arg(text: str) -> TowerSpec:
             return towerspec_from_json(json.load(fh))
     m = re.fullmatch(r"CP([0-9]+)", text)
     if m:
-        return _cp_spec(int(m.group(1)))
+        return cp_spec(int(m.group(1)))
     m = re.fullmatch(r"H(-?[0-9]+)", text)
     if m:
-        return _hirzebruch_spec(int(m.group(1)))
+        return hirzebruch_spec(int(m.group(1)))
     return build(FamilyId.parse(text))
 
 

@@ -23,10 +23,11 @@ certificate, so the first matrix it finds is the one the plain flat
 enumeration (``search_all_reference``) finds; the tests compare the two
 engines directly.  Its work is split by what it depends on:
 
-(a) per pair: the powers L_c, L_c^2, ... of the linear form of every box
-    column c, in the target's graded basis.  Relations must be homogeneous
-    (the search refuses others), so source relation d mentions only
-    x_0..x_d and is checked at depth d;
+(a) per target, shared by consecutive searches: the powers L_c, L_c^2, ...
+    of the linear form of every box column c, in the target's graded basis
+    (``_BoxPowers``; a one-slot cache keeps the latest target's).  Relations
+    must be homogeneous (the search refuses others), so source relation d
+    mentions only x_0..x_d and is checked at depth d;
 (b) per prefix node: relation d, written sum_e x_d^e * P_e(x_0..x_(d-1)),
     has its prefix parts P_e evaluated once, and they fold into one integer
     matrix A and one constant vector k such that its image at candidate c
@@ -46,6 +47,7 @@ substitutes and reduces directly and shares no code with the engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress, product, repeat
 from operator import add, mul
 from typing import Iterator, Sequence
@@ -288,37 +290,28 @@ def _last_columns(cof: Sequence[int], bound: int) -> Iterator[tuple]:
             yield pidx * width + offset, det
 
 
-class _ColumnWalk:
-    """One search's tables, built once per pair and freed with the walk.
+class _BoxPowers:
+    """The target-side tables of a search: the box columns and their power
+    vectors.  They depend only on (target, bound, top exponent of the source
+    relations), so :func:`_box_powers` shares them between consecutive
+    searches.
 
     ``values[p][idx]`` is coordinate p of the power vector of box column
     idx: the powers L^1, ..., L^E of its linear form L, each in the target's
     graded basis of its weight, laid end to end (L^e starts at
-    ``offset[e]``).  At a prefix node, the source relation of that depth
-    folds into rows (entries, target): its image at candidate idx is zero
-    exactly when sum(a * values[p][idx] for p, a in entries) == target for
-    each row.
+    ``offset[e]``).
     """
 
-    def __init__(self, pres_a: RingPresentation, pres_b: RingPresentation,
-                 bound: int):
-        self.g = pres_a.ngens
+    def __init__(self, pres_b: RingPresentation, bound: int, top: int):
+        self.g = pres_b.ngens
         self.bound = bound
         self.columns = list(product(range(-bound, bound + 1), repeat=self.g))
-        # homogeneous relation k leads with x_k^w, so it mentions only
-        # x_0..x_k and becomes checkable at depth k
-        self.relations = [
-            _split_relation(rel, k) for k, rel in enumerate(pres_a.relations)
-        ]
         self.maxw = sum(pres_b.caps)
         self.bases = [
             pres_b.graded_basis(2 * w) for w in range(self.maxw + 1)
         ]
         self._reduce = pres_b._reduce_monomial
         self._products: dict = {}
-        top = max(
-            e for rel in pres_a.relations for mono in rel.terms for e in mono
-        )
         self.offset = [0, 0]
         for e in range(1, top + 1):
             self.offset.append(self.offset[e] + self.dim(e))
@@ -327,7 +320,7 @@ class _ColumnWalk:
     def dim(self, w: int) -> int:
         return len(self.bases[w]) if w <= self.maxw else 0
 
-    def _table(self, a: int, b: int) -> list:
+    def table(self, a: int, b: int) -> list:
         """``table[m][i]``: basis_a[m] * basis_b[i] reduced, as (index in
         basis_(a+b), coefficient) pairs; needs a + b <= maxw."""
         table = self._products.get((a, b))
@@ -344,11 +337,11 @@ class _ColumnWalk:
             self._products[(a, b)] = table
         return table
 
-    def _mul(self, u: list, a: int, v: list, b: int) -> list:
+    def mul(self, u: list, a: int, v: list, b: int) -> list:
         """Product of a weight-a and a weight-b coordinate vector; needs
         a + b <= maxw."""
         out = [0] * self.dim(a + b)
-        table = self._table(a, b)
+        table = self.table(a, b)
         for m, um in enumerate(u):
             if um:
                 row = table[m]
@@ -367,7 +360,7 @@ class _ColumnWalk:
                 break
             prev, first = self.offset[e - 1], self.offset[1]
             terms: list[list] = [[] for _ in range(self.dim(e))]
-            for m, row in enumerate(self._table(e - 1, 1)):
+            for m, row in enumerate(self.table(e - 1, 1)):
                 for i, targets in enumerate(row):
                     for j, c in targets:
                         terms[j].append(
@@ -383,30 +376,57 @@ class _ColumnWalk:
             for p in range(self.offset[e], self.offset[e] + self.dim(e))
         ]
 
+
+@lru_cache(maxsize=1)
+def _box_powers(pres_b: RingPresentation, bound: int, top: int) -> _BoxPowers:
+    """The tables of the latest (target, bound, top) only: a sweep that
+    meets its pairs target by target builds each target's tables once, and
+    no more than one target's tables outlive a search."""
+    return _BoxPowers(pres_b, bound, top)
+
+
+class _ColumnWalk:
+    """One search's walk: the source relations, over target tables shared
+    by consecutive searches.
+
+    At a prefix node, the source relation of that depth folds into rows
+    (entries, target): its image at candidate idx is zero exactly when
+    sum(a * values[p][idx] for p, a in entries) == target for each row.
+    """
+
+    def __init__(self, pres_a: RingPresentation, tables: _BoxPowers):
+        self.tables = tables
+        # homogeneous relation k leads with x_k^w, so it mentions only
+        # x_0..x_k and becomes checkable at depth k
+        self.relations = [
+            _split_relation(rel, k) for k, rel in enumerate(pres_a.relations)
+        ]
+
     def node_rows(self, depth: int, cols: list) -> list:
         """Relation ``depth`` folded over the prefix columns ``cols`` (box
         indices) into rows (entries, target)."""
+        t = self.tables
         w, parts = self.relations[depth]
-        n = self.dim(w)
+        n = t.dim(w)
         if not n:
             return []  # past the top weight: the image is zero anyway
         const = [0] * n
         coeffs: list[dict] = [{} for _ in range(n)]
         for e, terms in parts:
-            q = [0] * self.dim(w - e)  # the prefix part, evaluated
+            q = [0] * t.dim(w - e)  # the prefix part, evaluated
             for coeff, exps in terms:
                 v, a = [1], 0
                 for i, x in enumerate(exps):
                     if x:
-                        v = self._mul(v, a, self.power(cols[i], x), x)
+                        v = t.mul(v, a, t.power(cols[i], x), x)
                         a += x
                 for m, vm in enumerate(v):
                     q[m] += coeff * vm
             if e == 0:
                 const = q
                 continue
-            table = self._table(w - e, e)
-            start = self.offset[e]
+            table = t.table(w - e, e)
+            start = t.offset[e]
             for m, qm in enumerate(q):
                 if qm:
                     for i, targets in enumerate(table[m]):
@@ -423,18 +443,19 @@ class _ColumnWalk:
     def survivors(self, rows: list) -> list:
         """Box indices passing every row, ascending.  The first row is
         evaluated over the whole box at once, the rest on its survivors."""
-        n = len(self.columns)
+        n = len(self.tables.columns)
         if not rows:
             return range(n)
         (entries, target), rest = rows[0], rows[1:]
-        image = _lincomb(n, ((a, self.values[p]) for p, a in entries))
+        values = self.tables.values
+        image = _lincomb(n, ((a, values[p]) for p, a in entries))
         return [
             idx for idx in compress(range(n), map(target.__eq__, image))
             if self.passes(rest, idx)
         ]
 
     def passes(self, rows: list, idx: int) -> bool:
-        values = self.values
+        values = self.tables.values
         return all(
             sum(a * values[p][idx] for p, a in entries) == target
             for entries, target in rows
@@ -443,7 +464,7 @@ class _ColumnWalk:
     def walk(self, depth: int, cols: list, pivots: list
              ) -> Iterator[tuple[Matrix, int]]:
         rows = self.node_rows(depth, cols)
-        columns, g = self.columns, self.g
+        columns, g = self.tables.columns, self.tables.g
         if depth < g - 1:
             for idx in self.survivors(rows):
                 reduced = _reduce_column(pivots, columns[idx])
@@ -453,7 +474,7 @@ class _ColumnWalk:
                     )
             return
         cof = _cofactors([columns[idx] for idx in cols], g)
-        for idx, det in _last_columns(cof, self.bound):
+        for idx, det in _last_columns(cof, self.tables.bound):
             if self.passes(rows, idx):
                 picked = [columns[k] for k in cols + [idx]]
                 yield tuple(tuple(c[i] for c in picked) for i in range(g)), det
@@ -472,7 +493,11 @@ def _search_matrices(
     for pres in (pres_a, pres_b):
         if any(rel.homogeneous_weight() is None for rel in pres.relations):
             raise IsoShapeError("search needs homogeneous relations")
-    yield from _ColumnWalk(pres_a, pres_b, bound).walk(0, [], [])
+    top = max(
+        e for rel in pres_a.relations for mono in rel.terms for e in mono
+    )
+    tables = _box_powers(pres_b, bound, top)
+    yield from _ColumnWalk(pres_a, tables).walk(0, [], [])
 
 
 def _check_searchable(pres_a: RingPresentation, pres_b: RingPresentation,

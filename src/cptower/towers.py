@@ -499,11 +499,8 @@ def towerspec_from_json(data) -> TowerSpec:
                 for mono, coeff in terms.items()
             }
             chern.append(Poly(base_gens, trimmed))
-        try:
-            stages.append(Stage(fiber_dim=n, chern=tuple(chern)))
-            TowerSpec(stages=tuple(stages))  # validate incrementally
-        except TowerSpecError:
-            raise
+        stages.append(Stage(fiber_dim=n, chern=tuple(chern)))
+        TowerSpec(stages=tuple(stages))  # validate incrementally
     return TowerSpec(stages=tuple(stages))
 
 

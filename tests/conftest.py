@@ -1,17 +1,7 @@
 """Shared builders for the test suite."""
 
 from cptower import FamilyId, Poly, Stage, TowerSpec, presentation, presentation_of
-
-
-def cp_spec(n: int) -> TowerSpec:
-    return TowerSpec((Stage(n, tuple(Poly.zero(0) for _ in range(n + 1))),))
-
-
-def hirzebruch_spec(k: int) -> TowerSpec:
-    return TowerSpec((
-        Stage(1, (Poly.zero(0), Poly.zero(0))),
-        Stage(1, (Poly(1, {(1,): k}), Poly.zero(1))),
-    ))
+from cptower.catalog import cp_spec, hirzebruch_spec
 
 
 def cp(n: int):

@@ -1,6 +1,7 @@
 """Family catalog: ids, canonical lists, recorded coincidences, sweeps."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -20,6 +21,7 @@ from cptower import (
     sweep_distinctness,
     verify,
 )
+from cptower import catalog, isosearch
 from cptower.catalog import THEOREMS, _cached_search, _worker_count
 from conftest import fam, pres
 
@@ -305,6 +307,30 @@ def test_sweep_betti_mismatch_rows():
     assert row["pass"]
 
 
+def test_sweep_builds_each_target_table_once(monkeypatch):
+    built = Counter()
+
+    class CountingBoxPowers(isosearch._BoxPowers):
+        def __init__(self, pres_b, bound, top):
+            built[pres_b] += 1
+            super().__init__(pres_b, bound, top)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a sequential sweep starts no pool")
+
+    monkeypatch.setattr(isosearch, "_BoxPowers", CountingBoxPowers)
+    monkeypatch.setattr(catalog, "ProcessPoolExecutor", no_pool)
+    isosearch._box_powers.cache_clear()
+    try:
+        report = sweep_distinctness("eight-dim", 2, 2)
+    finally:
+        isosearch._box_powers.cache_clear()
+    assert report["summary"]["failures"] == "0"
+    targets = {presentation_of(f) for f in families_for_theorem("eight-dim", 2)}
+    assert len(targets) == 10  # M8 ids differing only in alpha share one
+    assert built == Counter(dict.fromkeys(targets, 1))
+
+
 def test_sweep_rows_do_not_depend_on_jobs():
     serial = sweep_distinctness("three-stage", 1, 2, jobs=1)
     parallel = sweep_distinctness("three-stage", 1, 2, jobs=3)
@@ -385,7 +411,8 @@ def test_cached_search_survives_an_unwritable_cache(tmp_path, capsys):
     a, b = pres("GB2:1"), pres("GB2:2")
     verdict = _cached_search(a, b, 1, str(not_a_dir))
     assert verdict.to_json() == search(a, b, 1).to_json()
-    (line,) = capsys.readouterr().err.splitlines()
+    assert _cached_search(a, b, 1, str(not_a_dir)) == verdict
+    (line,) = capsys.readouterr().err.splitlines()  # once per directory
     assert line.startswith("warning: verdict not cached:")
     assert not_a_dir.read_text() == "a regular file"
 
@@ -396,7 +423,5 @@ def test_sweep_survives_an_unwritable_cache(tmp_path, capsys):
     plain = sweep_distinctness("three-stage", 0, 2)
     report = sweep_distinctness("three-stage", 0, 2, cache_dir=str(not_a_dir))
     assert report == plain
-    lines = capsys.readouterr().err.splitlines()
-    assert lines and all(
-        line.startswith("warning: verdict not cached:") for line in lines
-    )
+    (line,) = capsys.readouterr().err.splitlines()  # once, not per row
+    assert line.startswith("warning: verdict not cached:")

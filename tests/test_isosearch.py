@@ -22,6 +22,8 @@ from cptower import (
 )
 from cptower.isosearch import (
     MAX_BOX_COLUMNS,
+    _box_powers,
+    _BoxPowers,
     _ColumnWalk,
     _last_columns,
     images_from_matrix,
@@ -233,16 +235,53 @@ def test_last_columns_solve_the_determinant(cof, bound):
 
 
 def test_search_frees_its_tables_on_return():
-    # no reference cycle keeps the per-pair tables alive until a GC pass
+    # no reference cycle keeps a walk alive until a GC pass; only the
+    # one-slot cache keeps tables, those of the latest target
     gc.collect()
     gc.disable()
     try:
         assert search(pres("Zeta3:1,0,2"), pres("Zeta3:0,1,2"), 2).found
         assert search_all(pres("GB2:1"), pres("GB2:2"), 1)
-        live = [o for o in gc.get_objects() if isinstance(o, _ColumnWalk)]
+        walks = sum(isinstance(o, _ColumnWalk) for o in gc.get_objects())
+        tables = sum(isinstance(o, _BoxPowers) for o in gc.get_objects())
+        _box_powers.cache_clear()
+        left = sum(isinstance(o, _BoxPowers) for o in gc.get_objects())
     finally:
         gc.enable()
-    assert live == []
+    assert (walks, tables, left) == (0, 1, 0)
+
+
+def test_box_powers_slot_is_keyed_by_target_bound_and_top():
+    b1, b2 = hirzebruch(0), hirzebruch(2)
+    _box_powers.cache_clear()
+    first = _box_powers(b1, 2, 2)
+    assert _box_powers(hirzebruch(0), 2, 2) is first  # equal by content
+    for key in ((b2, 2, 2), (b1, 1, 2), (b1, 2, 3)):
+        other = _box_powers(*key)
+        assert other is not first
+        fresh = _BoxPowers(*key)
+        assert (other.columns, other.bases, other.values) == (
+            fresh.columns, fresh.bases, fresh.values
+        )
+        assert _box_powers(b1, 2, 2) is not first  # the slot holds one key
+        first = _box_powers(b1, 2, 2)
+    _box_powers.cache_clear()
+
+
+def test_interleaved_searches_match_reference():
+    # consecutive searches change the target, the bound, the source only,
+    # then the bound again
+    a, b1, b2 = hirzebruch(1), hirzebruch(3), hirzebruch(-1)
+    _box_powers.cache_clear()
+    for src, dst, bound in (
+        (a, b1, 2), (a, b2, 2), (a, b1, 1), (hirzebruch(0), b1, 1),
+        (a, b1, 2),
+    ):
+        assert search_all(src, dst, bound) == search_all_reference(
+            src, dst, bound
+        )
+    assert _box_powers.cache_info().hits == 1  # the source change only
+    _box_powers.cache_clear()
 
 
 def test_search_refuses_an_oversized_box():
