@@ -33,9 +33,21 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .chern import BundleDescriptor
-from .isosearch import SearchVerdict, check_box, search, verify
+from .isosearch import (
+    SearchVerdict,
+    _check_searchable,
+    check_box,
+    search,
+    verify,
+)
 from .polyring import Poly
-from .towers import RingPresentation, Stage, TowerSpec, presentation
+from .towers import (
+    RingPresentation,
+    Stage,
+    TowerSpec,
+    matrix_det,
+    presentation,
+)
 
 _ARITY = {
     "CP3": 0,
@@ -396,6 +408,38 @@ def _plan_rows(theorem: str, n: int) -> list[dict]:
 _unwritable_cache_dirs: set = set()
 
 
+def _check_cached(
+    verdict: SearchVerdict,
+    pres_a: RingPresentation,
+    pres_b: RingPresentation,
+    bound: int,
+    series_agree: bool,
+) -> None:
+    """Raise ValueError unless every field of a cached verdict is one a
+    search at ``bound`` could have printed.
+
+    A certificate must verify, carry its own determinant and stay inside
+    the bound.  A negative verdict must carry the requested bound and a
+    known reason, and say ``betti_mismatch`` exactly when the Poincare
+    series differ.  That a negative verdict was truly exhausted is not
+    re-checked: only a new search could.
+    """
+    if verdict.found:
+        if not verify(pres_a, pres_b, verdict.matrix):
+            raise ValueError("cached certificate fails verification")
+        if verdict.det != matrix_det(verdict.matrix):
+            raise ValueError("cached determinant is wrong")
+        if any(abs(e) > bound for row in verdict.matrix for e in row):
+            raise ValueError("cached certificate exceeds the bound")
+        return
+    if verdict.bound != bound:
+        raise ValueError("cached verdict is for another bound")
+    if verdict.reason not in ("exhausted", "betti_mismatch"):
+        raise ValueError(f"unknown cached reason {verdict.reason!r}")
+    if (verdict.reason == "betti_mismatch") == series_agree:
+        raise ValueError("cached reason disagrees with the Poincare series")
+
+
 def _cached_search(
     pres_a: RingPresentation,
     pres_b: RingPresentation,
@@ -405,14 +449,16 @@ def _cached_search(
     """search() with an optional on-disk verdict cache.
 
     Keyed by (schema, tool version, both presentation JSONs, bound), so a
-    version bump or any presentation change invalidates old entries.  A
-    cached positive verdict is re-verified before being trusted; anything
-    unreadable falls through to a recompute.  A failed cache write costs
-    only a warning on stderr, once per directory and process: the computed
-    verdict is still returned.
+    version bump or any presentation change invalidates old entries.
+    Every field of a cached verdict is checked before it is trusted (see
+    :func:`_check_cached`); an entry that fails, or cannot be read, is
+    recomputed and overwritten.  A failed cache write costs only a warning
+    on stderr, once per directory and process: the computed verdict is
+    still returned.
     """
     if cache_dir is None:
         return search(pres_a, pres_b, bound)
+    series_agree = _check_searchable(pres_a, pres_b, bound)
     key = "|".join([
         "cpt/1",
         _tool_version(),
@@ -425,8 +471,7 @@ def _cached_search(
     try:
         with open(path, "r", encoding="utf-8") as fh:
             verdict = SearchVerdict.from_json(json.load(fh), bound=bound)
-        if verdict.found and not verify(pres_a, pres_b, verdict.matrix):
-            raise ValueError("cached certificate fails verification")
+        _check_cached(verdict, pres_a, pres_b, bound, series_agree)
         return verdict
     except (OSError, ValueError, KeyError, TypeError):
         pass

@@ -14,6 +14,11 @@ surface "Hk", k any integer), or a path to a tower JSON file.  All emitted
 JSON carries ``"schema": "cpt/1"`` and serializes integers as decimal
 strings.  Exit codes: 0 success (for ``iso``: certificate found; for
 ``sweep``: zero failures), 1 negative verdict, 2 usage or input errors.
+
+The argument parser is built on the first :func:`main` call and shared by
+every later call in the process, so calling ``main`` repeatedly (as the
+verdict-cache traffic of ``cpt iso`` does) costs only the parse and the
+subcommand.  The ``_cmd_*`` handlers are bound into it at that first build.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import os
 import re
 import sys
 import time
+from functools import lru_cache
 
 from . import __version__
 from .catalog import (
@@ -328,7 +334,16 @@ def _cmd_catalog_list(args) -> int:
 # -- wiring ----------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``cpt`` parser, built once per process on first use.
+
+    ``parse_args`` leaves the parser unchanged and looks up ``sys.stdout``
+    and ``sys.stderr`` only when it prints, so one parser serves every
+    call.  Each subcommand's handler is bound through
+    ``set_defaults(func=...)`` at this first build; replacing a ``_cmd_*``
+    function afterwards does not reach the parser.
+    """
     parser = argparse.ArgumentParser(
         prog="cpt",
         description="Exact cohomology rings of projective towers: "
@@ -437,9 +452,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one ``cpt`` command line; returns the exit code.
+
+    The parser comes from :func:`_build_parser`, built on the first call and
+    reused by every later one in the process.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -501,7 +501,11 @@ def _search_matrices(
 
 
 def _check_searchable(pres_a: RingPresentation, pres_b: RingPresentation,
-                      bound: int) -> None:
+                      bound: int) -> bool:
+    """Refuse a search outside the engine's preconditions; otherwise say
+    whether the Poincare series agree.  When they differ no
+    degree-preserving unimodular map exists at any bound, so every search
+    entry point short-circuits on False."""
     if pres_a.ngens != pres_b.ngens:
         raise IsoShapeError(
             f"generator counts differ: {pres_a.ngens} vs {pres_b.ngens}"
@@ -509,6 +513,7 @@ def _check_searchable(pres_a: RingPresentation, pres_b: RingPresentation,
     if bound < 0:
         raise ValueError("bound must be non-negative")
     check_box(pres_a.ngens, bound)
+    return pres_a.poincare() == pres_b.poincare()
 
 
 def search(
@@ -519,8 +524,7 @@ def search(
     A Poincare mismatch short-circuits: no degree-preserving unimodular
     map can exist at any bound, and the verdict says so via its reason.
     """
-    _check_searchable(pres_a, pres_b, bound)
-    if pres_a.poincare() != pres_b.poincare():
+    if not _check_searchable(pres_a, pres_b, bound):
         return SearchVerdict(
             "none_within_bound", None, None, bound, "betti_mismatch"
         )
@@ -537,8 +541,7 @@ def search_all(
     pres_a: RingPresentation, pres_b: RingPresentation, bound: int = 3
 ) -> list[Matrix]:
     """Every certificate with entries in [-bound, bound], contract order."""
-    _check_searchable(pres_a, pres_b, bound)
-    if pres_a.poincare() != pres_b.poincare():
+    if not _check_searchable(pres_a, pres_b, bound):
         return []
     out = []
     for rows, _det in _search_matrices(pres_a, pres_b, bound):
@@ -557,8 +560,7 @@ def search_all_reference(
     and verify each matrix directly.  Exists to pin the pruned engine's
     enumeration order and acceptance predicate; use only on small cases.
     """
-    _check_searchable(pres_a, pres_b, bound)
-    if pres_a.poincare() != pres_b.poincare():
+    if not _check_searchable(pres_a, pres_b, bound):
         return []
     g = pres_a.ngens
     out = []

@@ -26,3 +26,18 @@ def fam(text: str) -> FamilyId:
 
 def pres(text: str):
     return presentation_of(FamilyId.parse(text))
+
+
+# Verdict-cache entries with fields edited so that no search at the bound
+# could have printed them: (a, b, bound, edits merged into the entry's JSON).
+# The towers are spelled as ``cpt`` arguments.
+TAMPERED_CACHE_ENTRIES = [
+    ("GB2:1", "GB2:2", 2, {"det": "7"}),  # the matrix has det -1
+    # a certificate that verifies, with an entry outside the bound
+    ("H2", "H2", 1, {"matrix": [["-1", "2"], ["-1", "1"]], "det": "1"}),
+    ("Eta2:1,2", "Eta2:1,-2", 2, {"bound": "9"}),
+    ("Eta2:1,2", "Eta2:1,-2", 2, {"reason": "proved_by_oracle"}),
+    ("Eta2:1,2", "Eta2:1,-2", 2, {"bound": "9", "reason": "proved_by_oracle"}),
+    ("Eta2:1,2", "Eta2:1,-2", 2, {"reason": "betti_mismatch"}),  # equal series
+    ("Eta2:0,0", "M8:0,0", 2, {"reason": "exhausted"}),  # series differ
+]

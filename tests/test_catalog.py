@@ -23,7 +23,8 @@ from cptower import (
 )
 from cptower import catalog, isosearch
 from cptower.catalog import THEOREMS, _cached_search, _worker_count
-from conftest import fam, pres
+from cptower.cli import resolve_ring_arg
+from conftest import TAMPERED_CACHE_ENTRIES, fam, pres
 
 
 # -- family ids -------------------------------------------------------------
@@ -396,6 +397,34 @@ def test_cached_search_distrusts_tampered_certificates(tmp_path):
     )
     again = _cached_search(a, b, 1, str(tmp_path))
     assert again.to_json() == honest.to_json()
+
+
+@pytest.mark.parametrize("a, b, bound, edits", TAMPERED_CACHE_ENTRIES)
+def test_cached_search_recomputes_tampered_fields(tmp_path, a, b, bound, edits):
+    pres_a = presentation(resolve_ring_arg(a))
+    pres_b = presentation(resolve_ring_arg(b))
+    fresh = search(pres_a, pres_b, bound).to_json()
+    _cached_search(pres_a, pres_b, bound, str(tmp_path))
+    (cache_file,) = tmp_path.iterdir()
+    assert json.loads(cache_file.read_text()) == fresh
+    assert {**fresh, **edits} != fresh
+    cache_file.write_text(json.dumps({**fresh, **edits}))
+    again = _cached_search(pres_a, pres_b, bound, str(tmp_path))
+    assert again.to_json() == fresh
+    assert json.loads(cache_file.read_text()) == fresh  # overwritten
+
+
+def test_cached_search_keeps_honest_entries(tmp_path):
+    for i, (a, b) in enumerate(
+        [("GB2:1", "GB2:2"), ("Eta2:1,2", "Eta2:1,-2"), ("Eta2:0,0", "M8:0,0")]
+    ):
+        cache_dir = tmp_path / str(i)
+        first = _cached_search(pres(a), pres(b), 2, str(cache_dir))
+        (cache_file,) = cache_dir.iterdir()
+        before = (cache_file.read_bytes(), cache_file.stat().st_ino)
+        again = _cached_search(pres(a), pres(b), 2, str(cache_dir))
+        assert again == first
+        assert (cache_file.read_bytes(), cache_file.stat().st_ino) == before
 
 
 def test_sweep_uses_cache_dir(tmp_path):

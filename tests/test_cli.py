@@ -1,6 +1,7 @@
 """CLI surface: argument resolution, output shapes, exit codes."""
 
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -9,7 +10,14 @@ from pathlib import Path
 import pytest
 
 from cptower import Poly
-from cptower.cli import format_poly, main, parse_poly_text, resolve_ring_arg
+from cptower.cli import (
+    _build_parser,
+    format_poly,
+    main,
+    parse_poly_text,
+    resolve_ring_arg,
+)
+from conftest import TAMPERED_CACHE_ENTRIES
 
 
 def run_cli(capsys, *argv):
@@ -235,6 +243,22 @@ def test_iso_survives_an_unwritable_cache(capsys, tmp_path, monkeypatch):
     assert line.startswith("warning: verdict not cached:")
 
 
+@pytest.mark.parametrize("a, b, bound, edits", TAMPERED_CACHE_ENTRIES)
+def test_iso_recomputes_tampered_cache_entries(
+    capsys, tmp_path, monkeypatch, a, b, bound, edits
+):
+    argv = ("iso", a, b, "--bound", str(bound))
+    monkeypatch.delenv("CPT_CACHE_DIR", raising=False)
+    fresh = run_cli(capsys, *argv)
+    monkeypatch.setenv("CPT_CACHE_DIR", str(tmp_path))
+    assert run_cli(capsys, *argv) == fresh
+    (cache_file,) = tmp_path.iterdir()
+    entry = json.loads(cache_file.read_text())
+    cache_file.write_text(json.dumps({**entry, **edits}))
+    assert run_cli(capsys, *argv) == fresh
+    assert json.loads(cache_file.read_text()) == entry  # overwritten
+
+
 def test_iso_refuses_an_oversized_box(capsys):
     for extra in ((), ("--all",)):
         code, out, err = run_cli(
@@ -452,6 +476,53 @@ def test_version_flag(capsys):
 
 def test_missing_subcommand_is_usage_error(capsys):
     assert run_cli(capsys)[0] == 2
+
+
+_SWEEP = ("sweep", "--theorem", "three-stage", "--range", "0", "--bound", "2")
+
+
+def _without_timing(result):
+    code, out, err = result
+    return code, re.sub(r'"elapsed_seconds": "[^"]*"', "", out), err
+
+
+@pytest.mark.parametrize(
+    "calls, codes",
+    [
+        ([("iso", "CP3", "CP3", "--bound", "1", "--all"),
+          ("iso", "CP3", "CP3", "--bound", "1")], [0, 0]),
+        ([("iso", "GB2:1"), ("iso", "GB2:1", "GB2:2", "--bound", "1")],
+         [2, 0]),
+        ([("--version",), ("ring", "CP2")], [0, 0]),
+        ([(*_SWEEP, "--jobs", "0"), _SWEEP], [2, 0]),
+    ],
+)
+def test_shared_parser_matches_a_parser_per_call(capsys, calls, codes):
+    alone = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        alone.append(_without_timing(run_cli(capsys, *argv)))
+    _build_parser.cache_clear()
+    together = [_without_timing(run_cli(capsys, *argv)) for argv in calls]
+    assert together == alone
+    assert [code for code, _, _ in together] == codes
+    info = _build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(calls) - 1)
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_importing_the_cli_builds_no_parser():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import cptower.cli as cli; print(cli._build_parser.cache_info())"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "currsize=0" in proc.stdout
 
 
 @pytest.mark.skipif(
