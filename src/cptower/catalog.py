@@ -24,11 +24,9 @@ data that separates same-ring M8 pairs (the non-rigidity witness).
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -458,6 +456,8 @@ def _cached_search(
     """
     if cache_dir is None:
         return search(pres_a, pres_b, bound)
+    import hashlib  # only a cached search pays for loading it
+
     series_agree = _check_searchable(pres_a, pres_b, bound)
     key = "|".join([
         "cpt/1",
@@ -557,6 +557,9 @@ def sweep_distinctness(
     verdicts: dict = {}
     workers = _worker_count(jobs, len(args))
     if workers > 1:
+        # only a parallel sweep pays for loading the process pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for idx, vj in pool.map(_sweep_worker, args):
                 verdicts[idx] = vj

@@ -29,16 +29,16 @@ engines directly.  Its work is split by what it depends on:
     must be homogeneous (the search refuses others), so source relation d
     mentions only x_0..x_d and is checked at depth d;
 (b) per prefix node: relation d, written sum_e x_d^e * P_e(x_0..x_(d-1)),
-    has its prefix parts P_e evaluated once, and they fold into one integer
-    matrix A and one constant vector k such that its image at candidate c
-    is A (L_c, L_c^2, ...) + k.  A candidate then costs a few multiply-adds,
-    and the first row of A is evaluated over the whole box at once.
-    Candidates that make the placed columns linearly dependent are dropped
-    (every completion has det 0);
+    has its prefix parts P_e evaluated once, and they fold into one dense
+    integer matrix A and one target vector t such that the image at
+    candidate c vanishes exactly when A (L_c, L_c^2, ...) = t.  The same A
+    recurs at many nodes, so each target keeps an index per A that sorts
+    the box columns by their image, packed into one exact integer; a node's
+    surviving columns are one lookup of t, at every depth.  Candidates that
+    make the placed columns linearly dependent are dropped (every
+    completion has det 0);
 (c) at the last depth det M = cof . c is linear in the last column c, so
-    the first g-1 coordinates run in lex order and the last is solved for
-    det = +-1: at most two values, or the whole range when its cofactor is
-    zero.
+    the survivors are kept when cof . c = +-1.
 
 Every certificate the engine yields is re-checked by :func:`verify`, which
 substitutes and reduces directly and shares no code with the engine.
@@ -46,9 +46,10 @@ substitutes and reduces directly and shares no code with the engine.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import compress, product, repeat
+from functools import lru_cache, partial
+from itertools import product, repeat
 from operator import add, mul
 from typing import Iterator, Sequence
 
@@ -267,44 +268,54 @@ def _cofactors(cols: list, g: int) -> list[int]:
     return cof
 
 
-def _last_columns(cof: Sequence[int], bound: int) -> Iterator[tuple]:
-    """(box index, det) for every column c of the box [-bound, bound]^g
-    with det = cof . c = +-1, in lex order.
+def _image_index(values: list, peaks: list, a: tuple) -> tuple:
+    """(limits, radix, keys, order): the image index of the folded matrix
+    ``a`` over the box.
 
-    The first g-1 coordinates run in lex order and the last one is solved
-    for: at most two values, or the whole range when its cofactor is 0.
+    Row j of the image of box column idx is sum_p a[j][p] * values[p][idx],
+    which lies in [-limits[j], limits[j]] with limits[j] = sum_p |a[j][p]| *
+    peaks[p].  With radix = 2 * max(limits) + 1 the image packs exactly into
+    the integer sum_j radix^j * image_j.  ``order`` lists the box indices by
+    packed image, ascending indices within one image (the sort is stable),
+    and ``keys`` the packed images in that order, so the columns with one
+    image are a slice found by bisection.  Sorting runs in C, which makes a
+    build cheaper than grouping the columns into a dict one by one.
     """
-    *head, last = cof
-    span = range(-bound, bound + 1)
-    # prefix sum -> (offset of the last coordinate, det) pairs completing it
-    solve: dict[int, list] = {}
-    for t in span:
-        for det in (-1, 1):
-            solve.setdefault(det - last * t, []).append((t + bound, det))
-    sums = [0]  # cof . prefix for every prefix, in lex order
-    for c in head:
-        sums = [s + c * t for s in sums for t in span]
-    width = len(span)
-    for pidx in compress(range(len(sums)), map(solve.__contains__, sums)):
-        for offset, det in solve[sums[pidx]]:
-            yield pidx * width + offset, det
+    limits = [sum(abs(x) * m for x, m in zip(row, peaks)) for row in a]
+    radix = 2 * max(limits, default=0) + 1
+    weights = [0] * len(values)
+    for row in reversed(a):
+        weights = [w * radix + x for w, x in zip(weights, row)]
+    images = list(_lincomb(
+        len(values[0]), ((w, values[p]) for p, w in enumerate(weights) if w)
+    ))
+    order = sorted(range(len(images)), key=images.__getitem__)  # stable
+    return limits, radix, list(map(images.__getitem__, order)), order
 
 
 class _BoxPowers:
-    """The target-side tables of a search: the box columns and their power
-    vectors.  They depend only on (target, bound, top exponent of the source
-    relations), so :func:`_box_powers` shares them between consecutive
-    searches.
+    """The target-side tables of a search: the box columns, their power
+    vectors and the image indexes.  They depend only on (target, bound, top
+    exponent of the source relations), so :func:`_box_powers` shares them
+    between consecutive searches.
 
     ``values[p][idx]`` is coordinate p of the power vector of box column
     idx: the powers L^1, ..., L^E of its linear form L, each in the target's
     graded basis of its weight, laid end to end (L^e starts at
     ``offset[e]``).
+
+    ``index(a)`` is the image index of a folded matrix ``a``: the box
+    indices sorted by their image under ``a``, packed into one exact
+    integer (see :func:`_image_index`).  ``survivors`` packs a target the
+    same way, once every digit is within its limit (a digit out of reach
+    could alias another image), and looks it up.  ``index`` is an LRU of
+    MAX_BOX_COLUMNS // len(columns) indexes (at least one), so at most
+    MAX_BOX_COLUMNS columns are indexed per target; its ``cache_info()``
+    counts index builds (misses) and lookups of a built index (hits).
     """
 
     def __init__(self, pres_b: RingPresentation, bound: int, top: int):
         self.g = pres_b.ngens
-        self.bound = bound
         self.columns = list(product(range(-bound, bound + 1), repeat=self.g))
         self.maxw = sum(pres_b.caps)
         self.bases = [
@@ -316,6 +327,26 @@ class _BoxPowers:
         for e in range(1, top + 1):
             self.offset.append(self.offset[e] + self.dim(e))
         self.values = self._tabulate_powers(top)
+        # bound to the tables, not to self, so no reference cycle keeps
+        # them alive
+        self.index = lru_cache(
+            maxsize=max(1, MAX_BOX_COLUMNS // len(self.columns))
+        )(partial(
+            _image_index, self.values, [max(map(abs, v)) for v in self.values]
+        ))
+
+    def survivors(self, a: tuple, target: tuple) -> Sequence[int]:
+        """Box indices idx, ascending, whose image under the folded matrix
+        ``a`` is ``target``: sum_p a[j][p] * values[p][idx] == target[j] for
+        every row j.  One lookup (a bisection) in the index of ``a``."""
+        limits, radix, keys, order = self.index(a)
+        key = 0
+        for t, limit in zip(reversed(target), reversed(limits)):
+            if abs(t) > limit:
+                return ()  # out of reach, and its packing would alias
+            key = key * radix + t
+        lo = bisect_left(keys, key)
+        return order[lo:bisect_right(keys, key, lo)]
 
     def dim(self, w: int) -> int:
         return len(self.bases[w]) if w <= self.maxw else 0
@@ -389,9 +420,11 @@ class _ColumnWalk:
     """One search's walk: the source relations, over target tables shared
     by consecutive searches.
 
-    At a prefix node, the source relation of that depth folds into rows
-    (entries, target): its image at candidate idx is zero exactly when
-    sum(a * values[p][idx] for p, a in entries) == target for each row.
+    At a prefix node, the source relation of that depth folds into a dense
+    matrix ``a`` and a vector ``target``: its image at candidate idx is zero
+    exactly when sum(a[j][p] * values[p][idx] for p) == target[j] for every
+    row j.  The candidates passing are one index lookup
+    (``_BoxPowers.survivors``), ascending, so the contract order holds.
     """
 
     def __init__(self, pres_a: RingPresentation, tables: _BoxPowers):
@@ -402,16 +435,17 @@ class _ColumnWalk:
             _split_relation(rel, k) for k, rel in enumerate(pres_a.relations)
         ]
 
-    def node_rows(self, depth: int, cols: list) -> list:
+    def node_rows(self, depth: int, cols: list) -> tuple:
         """Relation ``depth`` folded over the prefix columns ``cols`` (box
-        indices) into rows (entries, target)."""
+        indices) into (a, target): a dense tuple of rows over the power
+        coordinates, and the image each row must have."""
         t = self.tables
         w, parts = self.relations[depth]
         n = t.dim(w)
         if not n:
-            return []  # past the top weight: the image is zero anyway
+            return (), ()  # past the top weight: the image is zero anyway
         const = [0] * n
-        coeffs: list[dict] = [{} for _ in range(n)]
+        coeffs = [[0] * len(t.values) for _ in range(n)]
         for e, terms in parts:
             q = [0] * t.dim(w - e)  # the prefix part, evaluated
             for coeff, exps in terms:
@@ -431,51 +465,27 @@ class _ColumnWalk:
                 if qm:
                     for i, targets in enumerate(table[m]):
                         for j, c in targets:
-                            row = coeffs[j]
-                            row[start + i] = row.get(start + i, 0) + qm * c
-        rows = []
-        for row, k in zip(coeffs, const):
-            entries = [(p, a) for p, a in row.items() if a]
-            if entries or k:  # an empty row with k != 0 fails every column
-                rows.append((entries, -k))
-        return rows
-
-    def survivors(self, rows: list) -> list:
-        """Box indices passing every row, ascending.  The first row is
-        evaluated over the whole box at once, the rest on its survivors."""
-        n = len(self.tables.columns)
-        if not rows:
-            return range(n)
-        (entries, target), rest = rows[0], rows[1:]
-        values = self.tables.values
-        image = _lincomb(n, ((a, values[p]) for p, a in entries))
-        return [
-            idx for idx in compress(range(n), map(target.__eq__, image))
-            if self.passes(rest, idx)
-        ]
-
-    def passes(self, rows: list, idx: int) -> bool:
-        values = self.tables.values
-        return all(
-            sum(a * values[p][idx] for p, a in entries) == target
-            for entries, target in rows
-        )
+                            coeffs[j][start + i] += qm * c
+        return tuple(map(tuple, coeffs)), tuple(-k for k in const)
 
     def walk(self, depth: int, cols: list, pivots: list
              ) -> Iterator[tuple[Matrix, int]]:
-        rows = self.node_rows(depth, cols)
         columns, g = self.tables.columns, self.tables.g
+        hits = self.tables.survivors(*self.node_rows(depth, cols))
         if depth < g - 1:
-            for idx in self.survivors(rows):
+            for idx in hits:
                 reduced = _reduce_column(pivots, columns[idx])
                 if reduced is not None:
                     yield from self.walk(
                         depth + 1, cols + [idx], pivots + [reduced]
                     )
             return
+        if not hits:
+            return
         cof = _cofactors([columns[idx] for idx in cols], g)
-        for idx, det in _last_columns(cof, self.tables.bound):
-            if self.passes(rows, idx):
+        for idx in hits:
+            det = sum(map(mul, cof, columns[idx]))
+            if det in (1, -1):
                 picked = [columns[k] for k in cols + [idx]]
                 yield tuple(tuple(c[i] for c in picked) for i in range(g)), det
 

@@ -21,7 +21,7 @@ from cptower import (
     sweep_distinctness,
     verify,
 )
-from cptower import catalog, isosearch
+from cptower import isosearch
 from cptower.catalog import THEOREMS, _cached_search, _worker_count
 from cptower.cli import resolve_ring_arg
 from conftest import TAMPERED_CACHE_ENTRIES, fam, pres
@@ -320,7 +320,7 @@ def test_sweep_builds_each_target_table_once(monkeypatch):
         raise AssertionError("a sequential sweep starts no pool")
 
     monkeypatch.setattr(isosearch, "_BoxPowers", CountingBoxPowers)
-    monkeypatch.setattr(catalog, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     isosearch._box_powers.cache_clear()
     try:
         report = sweep_distinctness("eight-dim", 2, 2)
@@ -330,6 +330,38 @@ def test_sweep_builds_each_target_table_once(monkeypatch):
     targets = {presentation_of(f) for f in families_for_theorem("eight-dim", 2)}
     assert len(targets) == 10  # M8 ids differing only in alpha share one
     assert built == Counter(dict.fromkeys(targets, 1))
+
+
+def test_sweep_builds_each_image_index_once(monkeypatch):
+    # per target, every folded matrix A met by the walk gets its index built
+    # once; later nodes with the same A only look it up
+    tables = []
+    built = Counter()
+
+    class KeptBoxPowers(isosearch._BoxPowers):
+        def __init__(self, *args):
+            tables.append(self)  # kept alive to read the counters after
+            super().__init__(*args)
+
+    def counting_index(values, peaks, a):
+        built[id(values), a] += 1
+        return build(values, peaks, a)
+
+    build = isosearch._image_index
+    monkeypatch.setattr(isosearch, "_BoxPowers", KeptBoxPowers)
+    monkeypatch.setattr(isosearch, "_image_index", counting_index)
+    isosearch._box_powers.cache_clear()
+    try:
+        report = sweep_distinctness("eight-dim", 2, 2)
+    finally:
+        isosearch._box_powers.cache_clear()
+    assert report["summary"]["failures"] == "0"
+    assert len(tables) == 10
+    assert set(built.values()) == {1}
+    infos = [t.index.cache_info() for t in tables]
+    assert sum(i.misses for i in infos) == len(built)
+    assert all(i.currsize == i.misses for i in infos)  # nothing evicted
+    assert sum(i.hits for i in infos) > len(built)
 
 
 def test_sweep_rows_do_not_depend_on_jobs():

@@ -525,6 +525,20 @@ def test_importing_the_cli_builds_no_parser():
     assert "currsize=0" in proc.stdout
 
 
+def test_importing_the_cli_loads_no_pool_or_hashlib():
+    # the process pool waits for a sweep with --jobs > 1, hashlib for a
+    # cached search
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cptower.cli; "
+         "print(sorted({'concurrent.futures', 'hashlib'} & set(sys.modules)))"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.skipif(
     shutil.which("cpt") is None,
     reason="no cpt console script on PATH (created by pip install -e .)",

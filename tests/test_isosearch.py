@@ -1,7 +1,6 @@
 """Certificate verification and the bounded unimodular matrix search."""
 
 import gc
-from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -20,12 +19,12 @@ from cptower import (
     search_all_reference,
     verify,
 )
+from cptower import isosearch
 from cptower.isosearch import (
     MAX_BOX_COLUMNS,
     _box_powers,
     _BoxPowers,
     _ColumnWalk,
-    _last_columns,
     images_from_matrix,
 )
 from conftest import cp, hirzebruch, pres, trivial_tower
@@ -191,6 +190,9 @@ def test_found_verdicts_reverify():
         ("CP3", "CP3", 2),
         ("GB2:1", "GB2:2", 1),
         ("GB2:0", "GB2:1", 2),
+        # an index key with several columns: x^2 = 0 in GB2:1, so every
+        # column (c, 0) has square 0
+        ("GB2:2", "GB2:1", 2),
         ("Eta2:0,2", "Eta2:0,2", 2),
         ("Eta2:0,2", "Eta2:0,-2", 2),
         ("Eta2:1,1", "Eta2:1,1", 2),
@@ -204,7 +206,7 @@ def test_found_verdicts_reverify():
         ("CP1xCP3", "CP3xCP1", 2),
     ],
 )
-def test_pruned_engine_matches_reference(a, b, bound):
+def test_pruned_engine_matches_reference(monkeypatch, a, b, bound):
     rings = {
         "CP3": lambda: cp(3),
         "CP1xCP3": lambda: trivial_tower(1, 3),
@@ -212,26 +214,85 @@ def test_pruned_engine_matches_reference(a, b, bound):
     }
     pa = rings[a]() if a in rings else pres(a)
     pb = rings[b]() if b in rings else pres(b)
-    assert search_all(pa, pb, bound) == search_all_reference(pa, pb, bound)
+    indexes = []
+    build = isosearch._image_index
+
+    def recording(*args):
+        indexes.append(build(*args))
+        return indexes[-1]
+
+    monkeypatch.setattr(isosearch, "_image_index", recording)
+    _box_powers.cache_clear()
+    try:
+        assert search_all(pa, pb, bound) == search_all_reference(pa, pb, bound)
+    finally:
+        _box_powers.cache_clear()
+    assert indexes
+    if (a, b, bound) == ("GB2:2", "GB2:1", 2):
+        # sorted packed images: two equal neighbours share one key
+        assert any(
+            x == y for _, _, keys, _ in indexes for x, y in zip(keys, keys[1:])
+        )
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    st.integers(1, 3).flatmap(
-        lambda g: st.lists(st.integers(-3, 3), min_size=g, max_size=g)
-    ),
-    st.integers(0, 3),
-)
-def test_last_columns_solve_the_determinant(cof, bound):
-    # solving for the last coordinate yields exactly the det = +-1 columns
-    # of the box, as box indices, in lex order
-    box = product(range(-bound, bound + 1), repeat=len(cof))
-    expected = [
-        (idx, det)
-        for idx, col in enumerate(box)
-        if (det := sum(c * e for c, e in zip(cof, col))) in (1, -1)
+@given(st.integers(1, 3), st.integers(0, 3), st.data())
+def test_index_lookup_filters_the_box(g, bound, data):
+    # one lookup gives exactly the box indices whose image under A is the
+    # target, ascending; out-of-limit digits that alias a reachable target
+    # under the packing find nothing
+    ring = {1: cp(3), 2: pres("Eta2:1,-2"), 3: pres("Zeta3:1,1,2")}[g]
+    tables = _BoxPowers(ring, bound, 2)
+    values, n = tables.values, len(tables.columns)
+    width = len(values)
+    a = tuple(data.draw(st.lists(
+        st.one_of(
+            st.just((0,) * width),
+            st.tuples(*[st.integers(-3, 3)] * width),
+        ),
+        max_size=3,
+    )))
+
+    def image(idx):
+        return tuple(sum(x * values[p][idx] for p, x in enumerate(row))
+                     for row in a)
+
+    def brute(target):
+        return [idx for idx in range(n) if image(idx) == target]
+
+    peaks = [max(abs(v) for v in vs) for vs in values]
+    limits = [sum(abs(x) * m for x, m in zip(row, peaks)) for row in a]
+    radix = 2 * max(limits, default=0) + 1
+    reached = image(data.draw(st.integers(0, n - 1)))
+    targets = [
+        reached,
+        tuple(data.draw(st.integers(-radix, radix)) for _ in a),
     ]
-    assert list(_last_columns(cof, bound)) == expected
+    for j in range(len(a) - 1):  # radix at digit j == 1 at digit j + 1
+        shifted = list(reached)
+        shifted[j] += radix
+        shifted[j + 1] -= 1
+        targets.append(tuple(shifted))
+    for target in targets:
+        assert list(tables.survivors(a, target)) == brute(target)
+    assert tables.survivors(a, reached)  # the drawn column itself
+
+
+def test_index_store_is_bounded(monkeypatch):
+    # room for two indexes of a 27-column box: searches still match the
+    # reference while the store evicts
+    monkeypatch.setattr(isosearch, "MAX_BOX_COLUMNS", 2 * 27)
+    _box_powers.cache_clear()
+    try:
+        for a, b in (("Zeta3:1,0,2", "Zeta3:0,1,2"),
+                     ("Zeta3:1,0,0", "Xi3:0,0,0")):
+            pa, pb = pres(a), pres(b)
+            assert search_all(pa, pb, 1) == search_all_reference(pa, pb, 1)
+            info = _box_powers(pb, 1, 2).index.cache_info()  # the slot
+            assert info.maxsize == 2 and info.currsize <= 2
+            assert info.misses > 2  # indexes were evicted and rebuilt
+    finally:
+        _box_powers.cache_clear()
 
 
 def test_search_frees_its_tables_on_return():
