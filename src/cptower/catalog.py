@@ -236,6 +236,8 @@ def canonical_families(n: int = 4) -> list[FamilyId]:
 
 
 def families_for_theorem(theorem: str, n: int = 4) -> list[FamilyId]:
+    if n < 0:
+        raise ValueError("range must be non-negative")
     if theorem == "main":
         return canonical_families(n)
     if theorem == "two-stage":
@@ -530,8 +532,6 @@ def sweep_distinctness(
     """
     if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem tag {theorem!r}")
-    if n < 0:
-        raise ValueError("range must be non-negative")
     if bound < 1:
         raise ValueError("bound must be at least 1")
     if jobs < 1:

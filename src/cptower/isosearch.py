@@ -34,10 +34,13 @@ engines directly.  Its work is split by what it depends on:
     candidate c vanishes exactly when A (L_c, L_c^2, ...) = t.  The same A
     recurs at many nodes, so each target keeps an index per A that sorts
     the box columns by their image, packed into one exact integer; a node's
-    surviving columns are one lookup of t, at every depth.  Candidates that
-    make the placed columns linearly dependent are dropped (every
-    completion has det 0);
-(c) at the last depth det M = cof . c is linear in the last column c, so
+    surviving columns are one lookup of t, at every depth.  Each node also
+    carries the exterior product of its placed columns (``_wedge``: every
+    maximal minor, keyed by its row set); a candidate that empties it makes
+    the placed columns linearly dependent, so every completion has det 0
+    and it is dropped;
+(c) at the last depth det M = cof . c is linear in the last column c, with
+    cof[i] = (-1)^(g-1-i) times the wedge's minor on every row but i, so
     the survivors are kept when cof . c = +-1.
 
 Every certificate the engine yields is re-checked by :func:`verify`, which
@@ -234,38 +237,25 @@ def _split_relation(rel: Poly, depth: int) -> tuple:
     return rel.homogeneous_weight(), sorted(parts.items())
 
 
-def _reduce_column(pivots, col):
-    """Fraction-free reduction of ``col`` against the pivot columns.
+def _wedge(w: dict, col) -> dict:
+    """The exterior product w ^ col.
 
-    Returns (lead index, reduced vector) when independent, None when the
-    column lies in the span of the pivots (so every completion of the
-    prefix has determinant zero).
+    ``w`` maps a bitmask of row indices s to the minor of the placed
+    columns on rows s (rows ascending, columns in placement order); zero
+    minors are absent, so the placed columns are independent exactly when
+    ``w`` is non-empty.  Expanding along the new last column gives the
+    minor on rows s | 1 << i the term (-1)^(rows of s above i) w[s] col[i].
     """
-    v = list(col)
-    for lead, piv in pivots:
-        if v[lead]:
-            f = v[lead]
-            lc = piv[lead]
-            v = [lc * a - f * b for a, b in zip(v, piv)]
-    for i, a in enumerate(v):
-        if a:
-            return (i, v)
-    return None
-
-
-def _cofactors(cols: list, g: int) -> list[int]:
-    """det(M) = sum_i cof[i] * last_column[i], from the first g-1 columns."""
-    if g == 1:
-        return [1]
-    cof = []
-    for i in range(g):
-        minor = [
-            [cols[k][r] for k in range(g - 1)]
-            for r in range(g)
-            if r != i
-        ]
-        cof.append((-1) ** (i + g - 1) * matrix_det(minor))
-    return cof
+    out: dict[int, int] = {}
+    for s, m in w.items():
+        for i, c in enumerate(col):
+            if c and not s >> i & 1:
+                term = -m * c if (s >> i).bit_count() & 1 else m * c
+                key = s | 1 << i
+                out[key] = out.get(key, 0) + term
+    for s in [s for s, m in out.items() if not m]:
+        del out[s]
+    return out
 
 
 def _image_index(values: list, peaks: list, a: tuple) -> tuple:
@@ -425,6 +415,11 @@ class _ColumnWalk:
     exactly when sum(a[j][p] * values[p][idx] for p) == target[j] for every
     row j.  The candidates passing are one index lookup
     (``_BoxPowers.survivors``), ascending, so the contract order holds.
+
+    ``walk`` carries the wedge of the placed columns (``_wedge``), from
+    ``{0: 1}``: a survivor that empties it is dependent and is skipped.
+    With g - 1 columns placed, cof[i] = (-1)^(g-1-i) times its minor on
+    every row but i, so det M = cof . c with no further determinant.
     """
 
     def __init__(self, pres_a: RingPresentation, tables: _BoxPowers):
@@ -468,21 +463,21 @@ class _ColumnWalk:
                             coeffs[j][start + i] += qm * c
         return tuple(map(tuple, coeffs)), tuple(-k for k in const)
 
-    def walk(self, depth: int, cols: list, pivots: list
+    def walk(self, depth: int, cols: list, wedge: dict
              ) -> Iterator[tuple[Matrix, int]]:
         columns, g = self.tables.columns, self.tables.g
         hits = self.tables.survivors(*self.node_rows(depth, cols))
         if depth < g - 1:
             for idx in hits:
-                reduced = _reduce_column(pivots, columns[idx])
-                if reduced is not None:
-                    yield from self.walk(
-                        depth + 1, cols + [idx], pivots + [reduced]
-                    )
+                grown = _wedge(wedge, columns[idx])
+                if grown:
+                    yield from self.walk(depth + 1, cols + [idx], grown)
             return
         if not hits:
             return
-        cof = _cofactors([columns[idx] for idx in cols], g)
+        full = (1 << g) - 1
+        cof = [(-1) ** (g - 1 - i) * wedge.get(full ^ 1 << i, 0)
+               for i in range(g)]
         for idx in hits:
             det = sum(map(mul, cof, columns[idx]))
             if det in (1, -1):
@@ -496,18 +491,26 @@ def _search_matrices(
     bound: int,
 ) -> Iterator[tuple[Matrix, int]]:
     """Yield every certificate matrix, with its determinant, in the
-    contract order."""
+    contract order, each one accepted by :func:`verify` (a certificate it
+    rejects is an engine bug, raised as RuntimeError)."""
     if pres_a.ngens == 0:
-        yield (), 1
-        return
-    for pres in (pres_a, pres_b):
-        if any(rel.homogeneous_weight() is None for rel in pres.relations):
-            raise IsoShapeError("search needs homogeneous relations")
-    top = max(
-        e for rel in pres_a.relations for mono in rel.terms for e in mono
-    )
-    tables = _box_powers(pres_b, bound, top)
-    yield from _ColumnWalk(pres_a, tables).walk(0, [], [])
+        found = [((), 1)]  # the empty matrix
+    else:
+        for pres in (pres_a, pres_b):
+            if any(rel.homogeneous_weight() is None
+                   for rel in pres.relations):
+                raise IsoShapeError("search needs homogeneous relations")
+        top = max(
+            e for rel in pres_a.relations for mono in rel.terms for e in mono
+        )
+        tables = _box_powers(pres_b, bound, top)
+        found = _ColumnWalk(pres_a, tables).walk(0, [], {0: 1})
+    for rows, det in found:
+        if not verify(pres_a, pres_b, rows):
+            raise RuntimeError(
+                f"engine produced a non-verifying certificate {rows}"
+            )
+        yield rows, det
 
 
 def _check_searchable(pres_a: RingPresentation, pres_b: RingPresentation,
@@ -539,10 +542,6 @@ def search(
             "none_within_bound", None, None, bound, "betti_mismatch"
         )
     for rows, det in _search_matrices(pres_a, pres_b, bound):
-        if not verify(pres_a, pres_b, rows):
-            raise RuntimeError(
-                f"engine produced a non-verifying certificate {rows}"
-            )
         return SearchVerdict("found", rows, det, bound, None)
     return SearchVerdict("none_within_bound", None, None, bound, "exhausted")
 
@@ -553,14 +552,7 @@ def search_all(
     """Every certificate with entries in [-bound, bound], contract order."""
     if not _check_searchable(pres_a, pres_b, bound):
         return []
-    out = []
-    for rows, _det in _search_matrices(pres_a, pres_b, bound):
-        if not verify(pres_a, pres_b, rows):
-            raise RuntimeError(
-                f"engine produced a non-verifying certificate {rows}"
-            )
-        out.append(rows)
-    return out
+    return [rows for rows, _det in _search_matrices(pres_a, pres_b, bound)]
 
 
 def search_all_reference(

@@ -125,6 +125,15 @@ class RingPresentation:
         self.ngens = g
         self._tails = tails
         self._nf_memo: dict[Monomial, dict[Monomial, int]] = {}
+        # convolution of (1, 1, ..., 1) blocks, one per stage
+        coeffs = [1]
+        for cap in caps:
+            new = [0] * (len(coeffs) + cap)
+            for i, c in enumerate(coeffs):
+                for j in range(cap + 1):
+                    new[i + j] += c
+            coeffs = new
+        self._poincare = tuple(coeffs)
 
     # -- identity ---------------------------------------------------------
 
@@ -227,16 +236,9 @@ class RingPresentation:
         return out
 
     def poincare(self) -> tuple[int, ...]:
-        """Ranks of the graded pieces in degrees 0, 2, ..., top."""
-        # convolution of (1, 1, ..., 1) blocks, one per stage
-        coeffs = [1]
-        for cap in self.caps:
-            new = [0] * (len(coeffs) + cap)
-            for i, c in enumerate(coeffs):
-                for j in range(cap + 1):
-                    new[i + j] += c
-            coeffs = new
-        return tuple(coeffs)
+        """Ranks of the graded pieces in degrees 0, 2, ..., top (computed
+        once, in the constructor)."""
+        return self._poincare
 
     def top_monomial(self) -> Monomial:
         return tuple(self.caps)

@@ -159,8 +159,9 @@ def test_families_for_theorem_lists():
 def test_families_for_theorem_validation():
     with pytest.raises(ValueError, match="unknown theorem"):
         families_for_theorem("all", 4)
-    with pytest.raises(ValueError, match="non-negative"):
-        families_for_theorem("main", -1)
+    for theorem in THEOREMS:
+        with pytest.raises(ValueError, match="range must be non-negative"):
+            families_for_theorem(theorem, -1)
     assert THEOREMS == ("main", "two-stage", "three-stage", "eight-dim")
 
 

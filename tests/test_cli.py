@@ -457,6 +457,14 @@ def test_catalog_list_text(capsys):
     ]
 
 
+def test_catalog_list_rejects_a_negative_range(capsys):
+    code, out, err = run_cli(
+        capsys, "catalog-list", "--theorem", "two-stage", "--range", "-1"
+    )
+    assert code == 2 and out == ""
+    assert "range must be non-negative" in err
+
+
 def test_catalog_list_json(capsys):
     code, payload, _ = run_json(capsys, "catalog-list", "--json")
     assert code == 0

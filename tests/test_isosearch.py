@@ -1,6 +1,8 @@
 """Certificate verification and the bounded unimodular matrix search."""
 
 import gc
+import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from cptower.isosearch import (
     _box_powers,
     _BoxPowers,
     _ColumnWalk,
+    _wedge,
     images_from_matrix,
 )
 from conftest import cp, hirzebruch, pres, trivial_tower
@@ -173,6 +176,16 @@ def test_search_preconditions():
     assert search(point, point, 1).matrix == ()
 
 
+def test_rejected_certificate_raises(monkeypatch):
+    # a certificate verify rejects is an engine bug, in both entry points
+    a, b = pres("GB2:1"), pres("GB2:2")
+    assert search(a, b, 2).found
+    monkeypatch.setattr(isosearch, "verify", lambda *args: False)
+    for entry in (search, search_all):
+        with pytest.raises(RuntimeError, match="non-verifying certificate"):
+            entry(a, b, 2)
+
+
 def test_found_verdicts_reverify():
     for a, b in [("GB2:1", "GB2:2"), ("Zeta3:1,0,2", "Zeta3:0,1,2")]:
         v = search(pres(a), pres(b), 2)
@@ -276,6 +289,54 @@ def test_index_lookup_filters_the_box(g, bound, data):
     for target in targets:
         assert list(tables.survivors(a, target)) == brute(target)
     assert tables.survivors(a, reached)  # the drawn column itself
+
+
+def _rank(cols):
+    """Rank of the columns over Q, by Gaussian elimination."""
+    vecs = [list(map(Fraction, c)) for c in cols]
+    rank = 0
+    for i in range(len(vecs[0])):
+        pivot = next((v for v in vecs if v[i]), None)
+        if pivot is not None:
+            vecs.remove(pivot)
+            vecs = [[x - v[i] / pivot[i] * y for x, y in zip(v, pivot)]
+                    for v in vecs]
+            rank += 1
+    return rank
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_wedge_holds_every_maximal_minor(g, data):
+    # after each placed column the wedge holds exactly the non-zero minors
+    # (rows ascending, columns in placement order); it is empty exactly when
+    # the columns are dependent; with g - 1 placed, cof . c = det M
+    column = st.tuples(*[st.integers(-3, 3)] * g)
+    full = (1 << g) - 1
+    cols, w = [], {0: 1}
+    for k in range(1, g + 1):
+        if k == g:  # g - 1 columns placed
+            cof = [(-1) ** (g - 1 - i) * w.get(full ^ 1 << i, 0)
+                   for i in range(g)]
+            for last in data.draw(st.lists(column, min_size=1, max_size=5)):
+                det = matrix_det(list(zip(*cols, last)))
+                assert sum(x * y for x, y in zip(cof, last)) == det
+        kind = data.draw(st.sampled_from(["random", "zero", "repeat", "parallel"]))
+        if kind == "zero":
+            col = (0,) * g
+        elif kind == "random" or not cols:
+            col = data.draw(column)
+        else:
+            earlier = data.draw(st.sampled_from(cols))
+            factor = 1 if kind == "repeat" else data.draw(st.integers(-3, 3))
+            col = tuple(factor * x for x in earlier)
+        cols.append(col)
+        w = _wedge(w, col)
+        assert all(s.bit_count() == k and m for s, m in w.items())
+        for rows in itertools.combinations(range(g), k):
+            minor = matrix_det([[c[r] for c in cols] for r in rows])
+            assert w.get(sum(1 << r for r in rows), 0) == minor
+        assert (not w) == (_rank(cols) < k)
 
 
 def test_index_store_is_bounded(monkeypatch):

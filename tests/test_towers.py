@@ -19,7 +19,7 @@ from cptower import (
     towerspec_from_json,
     towerspec_to_json,
 )
-from conftest import cp, cp_spec, hirzebruch, hirzebruch_spec
+from conftest import cp, cp_spec, hirzebruch, hirzebruch_spec, trivial_tower
 
 
 def eta_spec(s: int, a: int) -> TowerSpec:
@@ -213,19 +213,38 @@ def test_poincare_fixtures(pres_builder, expected):
     assert sum(pres.poincare()) == pres.rank
 
 
-def test_poincare_is_palindromic_product_of_blocks():
-    pres = presentation(zeta_spec(1, 1, 2))
-    betti = pres.poincare()
-    assert betti == tuple(reversed(betti))
-    # independent recomputation from the factorization
+def _product_of_blocks(caps):
+    """Coefficients of prod_k (1 + t + ... + t^caps[k]), recomputed."""
     poly = [1]
-    for cap in pres.caps:
+    for cap in caps:
         block = [1] * (cap + 1)
         poly = [
             sum(poly[i] * block[d - i] for i in range(len(poly)) if 0 <= d - i <= cap)
             for d in range(len(poly) + cap)
         ]
-    assert betti == tuple(poly)
+    return tuple(poly)
+
+
+def test_poincare_is_palindromic_product_of_blocks():
+    pres = presentation(zeta_spec(1, 1, 2))
+    betti = pres.poincare()
+    assert betti == tuple(reversed(betti))
+    assert betti == _product_of_blocks(pres.caps)
+
+
+@pytest.mark.parametrize(
+    "pres_builder",
+    [
+        lambda: trivial_tower(1, 3),
+        lambda: trivial_tower(2, 1, 1),
+        lambda: presentation(eta_spec(0, 3)),
+        lambda: presentation(zeta_spec(1, 1, 2)),
+    ],
+)
+def test_poincare_is_computed_once(pres_builder):
+    pres = pres_builder()
+    assert pres.poincare() is pres.poincare()
+    assert pres.poincare() == _product_of_blocks(pres.caps)
 
 
 def test_top_monomial_and_degree():
