@@ -292,7 +292,8 @@ class _BoxPowers:
     ``values[p][idx]`` is coordinate p of the power vector of box column
     idx: the powers L^1, ..., L^E of its linear form L, each in the target's
     graded basis of its weight, laid end to end (L^e starts at
-    ``offset[e]``).
+    ``offset[e]``).  ``power`` slices L^e from the same coordinates
+    transposed once into one row per box column.
 
     ``index(a)`` is the image index of a folded matrix ``a``: the box
     indices sorted by their image under ``a``, packed into one exact
@@ -317,6 +318,7 @@ class _BoxPowers:
         for e in range(1, top + 1):
             self.offset.append(self.offset[e] + self.dim(e))
         self.values = self._tabulate_powers(top)
+        self._rows = list(zip(*self.values))  # per box column
         # bound to the tables, not to self, so no reference cycle keeps
         # them alive
         self.index = lru_cache(
@@ -390,12 +392,9 @@ class _BoxPowers:
             values.extend(list(_lincomb(n, t)) for t in terms)
         return values
 
-    def power(self, idx: int, e: int) -> list:
+    def power(self, idx: int, e: int) -> tuple:
         """L^e (e >= 1) of box column idx, in the weight-e basis."""
-        return [
-            self.values[p][idx]
-            for p in range(self.offset[e], self.offset[e] + self.dim(e))
-        ]
+        return self._rows[idx][self.offset[e]:self.offset[e] + self.dim(e)]
 
 
 @lru_cache(maxsize=1)
@@ -444,10 +443,11 @@ class _ColumnWalk:
         for e, terms in parts:
             q = [0] * t.dim(w - e)  # the prefix part, evaluated
             for coeff, exps in terms:
-                v, a = [1], 0
+                v, a = (1,), 0
                 for i, x in enumerate(exps):
                     if x:
-                        v = t.mul(v, a, t.power(cols[i], x), x)
+                        p = t.power(cols[i], x)
+                        v = t.mul(v, a, p, x) if a else p
                         a += x
                 for m, vm in enumerate(v):
                     q[m] += coeff * vm

@@ -10,6 +10,9 @@ where c_i are the Chern classes of the stage bundle, polynomials in the
 earlier generators.  (The generators are the duals of the stage tautological
 classes, which is what makes all the signs come out positive.)  Iterating
 gives H* of the tower as Z[x_1..x_m] modulo one such relation per stage.
+``presentation`` builds all the relations in one pass; it builds the ring
+of a base only for a stage whose Chern classes have a monomial above that
+base's caps, to reduce them there.
 
 Reduction to normal form rewrites x_k^(n_k+1) by the relation tail.  Each
 rewrite strictly decreases the monomial order of :mod:`cptower.polyring`
@@ -294,40 +297,32 @@ class RingPresentation:
 def presentation(spec: TowerSpec) -> RingPresentation:
     """Build the iterated quotient presentation for a tower description.
 
-    Chern classes are stored already reduced: each stage's classes are put
-    in normal form in the presentation of the base below it before the
-    relation is assembled.
+    Chern classes are stored already reduced, in normal form in the
+    presentation of the base below their stage.  A monomial within the
+    base's caps is already in normal form (every leading monomial is a pure
+    power beyond a cap), so a base ring is built, and the stage's classes
+    reduced in it, only for a stage with a Chern monomial above the caps so
+    far.
     """
     g = spec.ngens
     caps: list[int] = []
     relations: list[Poly] = []
-    base: RingPresentation | None = None
     for k, stage in enumerate(spec.stages):
         n = stage.fiber_dim
-        reduced = []
-        for c in stage.chern:
-            reduced.append(base.normal_form(c) if base is not None else c)
-        lead = [0] * g
-        lead[k] = n + 1
-        terms: dict[Monomial, int] = {tuple(lead): 1}
-        for i, c in enumerate(reduced, start=1):
-            shift = [0] * g
-            shift[k] = n + 1 - i
-            for mono, coeff in c.embed(g).terms.items():
-                m = tuple(a + b for a, b in zip(mono, shift))
-                v = terms.get(m, 0) + coeff
-                if v:
-                    terms[m] = v
-                else:
-                    del terms[m]
+        chern = stage.chern
+        if any(e > cap for c in chern for mono in c.terms
+               for e, cap in zip(mono, caps)):
+            base = RingPresentation(caps, [_restrict(r, k) for r in relations])
+            chern = [base.normal_form(c) for c in chern]
+        # c_i shifts by x_k^(n+1-i): the exponents of x_k are all distinct,
+        # so no two terms meet
+        pad = (0,) * (g - k - 1)
+        terms: dict[Monomial, int] = {(0,) * k + (n + 1,) + pad: 1}
+        for i, c in enumerate(chern, start=1):
+            for mono, coeff in c.terms.items():
+                terms[mono + (n + 1 - i,) + pad] = coeff
         caps.append(n)
         relations.append(Poly(g, terms))
-        # presentation of the prefix tower, for normalizing the next stage
-        prefix_caps = caps[: k + 1]
-        prefix_rels = [
-            _restrict(rel, k + 1) for rel in relations[: k + 1]
-        ]
-        base = RingPresentation(prefix_caps, prefix_rels)
     return RingPresentation(caps, relations)
 
 

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cptower import (
@@ -19,6 +19,8 @@ from cptower import (
     towerspec_from_json,
     towerspec_to_json,
 )
+from cptower.catalog import THEOREMS, build, families_for_theorem
+from cptower.towers import _restrict
 from conftest import cp, cp_spec, hirzebruch, hirzebruch_spec, trivial_tower
 
 
@@ -109,6 +111,104 @@ def test_stage_chern_is_reduced_in_the_base():
     pres = presentation(spec)
     # x^2 = 0 in the base, so the would-be 5x^2 tail vanishes
     assert pres.relations[1] == Poly(2, {(0, 2): 1, (1, 1): 3})
+
+
+def _presentation_always_reducing(spec: TowerSpec) -> RingPresentation:
+    """Reference: the earlier ``presentation``, which builds the prefix
+    ring after every stage and reduces every Chern class in it."""
+    g = spec.ngens
+    caps: list[int] = []
+    relations: list[Poly] = []
+    base = None
+    for k, stage in enumerate(spec.stages):
+        n = stage.fiber_dim
+        reduced = []
+        for c in stage.chern:
+            reduced.append(base.normal_form(c) if base is not None else c)
+        lead = [0] * g
+        lead[k] = n + 1
+        terms = {tuple(lead): 1}
+        for i, c in enumerate(reduced, start=1):
+            shift = [0] * g
+            shift[k] = n + 1 - i
+            for mono, coeff in c.embed(g).terms.items():
+                m = tuple(a + b for a, b in zip(mono, shift))
+                v = terms.get(m, 0) + coeff
+                if v:
+                    terms[m] = v
+                else:
+                    del terms[m]
+        caps.append(n)
+        relations.append(Poly(g, terms))
+        base = RingPresentation(
+            caps[: k + 1], [_restrict(rel, k + 1) for rel in relations]
+        )
+    return RingPresentation(caps, relations)
+
+
+def _weight_monomials(nvars: int, w: int) -> list:
+    return [m for m in itertools.product(range(w + 1), repeat=nvars)
+            if sum(m) == w]
+
+
+@st.composite
+def tower_specs(draw):
+    """1-3 stages of fiber CP^1..CP^3, every Chern monomial drawn with a
+    coefficient in [-3, 3], those above the base's caps included."""
+    stages = []
+    for k in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 3))
+        stages.append(Stage(n, tuple(
+            Poly(k, {m: draw(st.integers(-3, 3))
+                     for m in _weight_monomials(k, i)})
+            for i in range(1, n + 2)
+        )))
+    return TowerSpec(tuple(stages))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tower_specs())
+@example(TowerSpec((  # c_2 = k x^2 over CP^1
+    Stage(1, (Poly.zero(0), Poly.zero(0))),
+    Stage(1, (Poly(1, {(1,): 1}), Poly(1, {(2,): -2}))),
+)))
+@example(TowerSpec((  # x^3 and x^2 y over CP^1 x CP^1
+    Stage(1, (Poly.zero(0), Poly.zero(0))),
+    Stage(1, (Poly.zero(1), Poly(1, {(2,): 3}))),
+    Stage(2, (Poly.zero(2), Poly(2, {(2, 0): 1}),
+              Poly(2, {(3, 0): 2, (2, 1): -1, (1, 2): 1}))),
+)))
+def test_presentation_matches_the_always_reducing_reference(spec):
+    pres = presentation(spec)
+    ref = _presentation_always_reducing(spec)
+    assert pres.caps == ref.caps
+    assert pres.relations == ref.relations
+
+
+def test_catalog_presentations_need_no_base_ring(monkeypatch):
+    """No catalog Chern class has a monomial above its base's caps, so each
+    catalog tower builds exactly one ring and reduces nothing."""
+    specs = {str(fid): build(fid) for theorem in THEOREMS
+             for fid in families_for_theorem(theorem, 4)}
+    refs = {k: _presentation_always_reducing(s) for k, s in specs.items()}
+    built = []
+    real_init = RingPresentation.__init__
+
+    def counting_init(self, caps, relations):
+        built.append(tuple(caps))
+        real_init(self, caps, relations)
+
+    def no_normal_form(self, p):
+        raise AssertionError("normal_form called while building a catalog tower")
+
+    monkeypatch.setattr(RingPresentation, "__init__", counting_init)
+    monkeypatch.setattr(RingPresentation, "normal_form", no_normal_form)
+    for key, spec in specs.items():
+        del built[:]
+        pres = presentation(spec)
+        assert built == [pres.caps], key
+        assert pres == refs[key], key
+    assert len(specs) == 80
 
 
 def test_presentation_validation():
