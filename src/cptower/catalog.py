@@ -108,8 +108,15 @@ def _zeros(nvars: int, count: int) -> tuple:
     return tuple(Poly.zero(nvars) for _ in range(count))
 
 
+# The largest n a CP^n spec is built for: its n + 1 Chern classes, and the
+# time a search over it takes, grow with n.
+MAX_CP_DIM = 1_000
+
+
 def cp_spec(n: int) -> TowerSpec:
-    """CP^n as a one-stage tower."""
+    """CP^n as a one-stage tower; n above :data:`MAX_CP_DIM` is refused."""
+    if n > MAX_CP_DIM:
+        raise ValueError(f"CP{n} is above the limit of CP{MAX_CP_DIM}")
     return TowerSpec((Stage(n, _zeros(0, n + 1)),))
 
 
@@ -373,34 +380,30 @@ def _expected_row(a: FamilyId, b: FamilyId) -> tuple:
     return "distinct", None
 
 
-def _plan_rows(theorem: str, n: int) -> list[dict]:
+def _plan_rows(theorem: str, n: int) -> list[tuple]:
+    """(a, b, expected, flag, note) for every row of a sweep, in report
+    order: each unordered pair of the theorem's list (self pairs included),
+    then any recorded claim pairs."""
     fams = families_for_theorem(theorem, n)
-    plan = []
-    for i, a in enumerate(fams):
-        for b in fams[i:]:
-            expected, flag = _expected_row(a, b)
-            plan.append(
-                {"a": a, "b": b, "expected": expected, "flag": flag}
-            )
+    plan = [
+        (a, b, *_expected_row(a, b), None)
+        for i, a in enumerate(fams) for b in fams[i:]
+    ]
     if theorem in ("main", "three-stage"):
         # Two recorded coincidence claims for the H_0/H_1 overlap disagree
         # with each other; both are swept under one flag, with the expected
         # values set to what the search actually certifies.
-        plan.append({
-            "a": FamilyId.parse("Zeta3:1,0,0"),
-            "b": FamilyId.parse("Xi3:0,0,0"),
-            "expected": "coincident",
-            "flag": "conflicting-claims",
-            "note": "recorded-claim-pair: certificate exists",
-        })
+        plan.append((
+            FamilyId("Zeta3", (1, 0, 0)), FamilyId("Xi3", (0, 0, 0)),
+            "coincident", "conflicting-claims",
+            "recorded-claim-pair: certificate exists",
+        ))
         if n >= 1:
-            plan.append({
-                "a": FamilyId.parse("Zeta3:0,0,1"),
-                "b": FamilyId.parse("Xi3:0,0,0"),
-                "expected": "distinct",
-                "flag": "conflicting-claims",
-                "note": "recorded-claim-pair: no certificate within bound",
-            })
+            plan.append((
+                FamilyId("Zeta3", (0, 0, 1)), FamilyId("Xi3", (0, 0, 0)),
+                "distinct", "conflicting-claims",
+                "recorded-claim-pair: no certificate within bound",
+            ))
     return plan
 
 
@@ -494,9 +497,8 @@ def _cached_search(
 
 
 def _sweep_worker(args: tuple) -> tuple:
-    idx, a_str, b_str, bound, cache_dir = args
-    pres_a = presentation_of(FamilyId.parse(a_str))
-    pres_b = presentation_of(FamilyId.parse(b_str))
+    idx, a, b, bound, cache_dir = args
+    pres_a, pres_b = presentation_of(a), presentation_of(b)
     # Cross-shape pairs (different generator counts) are legitimate sweep
     # rows but outside search()'s precondition; their Poincare vectors
     # always differ, so short-circuit them here.
@@ -536,76 +538,59 @@ def sweep_distinctness(
         raise ValueError("bound must be at least 1")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    check_box(
-        max(build(f).ngens for f in families_for_theorem(theorem, n)), bound
-    )
     plan = _plan_rows(theorem, n)
-    # Target-major: rows with equal targets run back to back, so each
-    # target's search tables are built once (isosearch._box_powers).  Equal
-    # tower specs give equal presentations, as for M8 ids differing in alpha.
-    spec_rank: dict = {}
-    target_rank: dict = {}
-    for row in plan:
-        b = row["b"]
-        if b not in target_rank:
-            target_rank[b] = spec_rank.setdefault(build(b), len(spec_rank))
-    order = sorted(range(len(plan)), key=lambda i: target_rank[plan[i]["b"]])
-    args = [
-        (i, str(plan[i]["a"]), str(plan[i]["b"]), bound, cache_dir)
-        for i in order
+    # Target-major: rows with one target presentation run back to back, so
+    # the search tables, keyed on it alone (isosearch._box_powers), are
+    # built once per target.  Ids with equal presentations share one rank,
+    # as M8 ids differing only in alpha do.
+    rank: dict = {}
+    ranks = [
+        rank.setdefault(presentation_of(b), len(rank)) for _, b, *_ in plan
     ]
-    verdicts: dict = {}
+    check_box(max(pres.ngens for pres in rank), bound)
+    args = [
+        (i, plan[i][0], plan[i][1], bound, cache_dir)
+        for i in sorted(range(len(plan)), key=ranks.__getitem__)
+    ]
     workers = _worker_count(jobs, len(args))
     if workers > 1:
         # only a parallel sweep pays for loading the process pool
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for idx, vj in pool.map(_sweep_worker, args):
-                verdicts[idx] = vj
+            results = list(pool.map(_sweep_worker, args))
     else:
-        for arg in args:
-            idx, vj = _sweep_worker(arg)
-            verdicts[idx] = vj
+        results = map(_sweep_worker, args)
+    verdicts = [vj for _, vj in sorted(results)]  # back to plan order
     rows = []
-    failures = 0
-    flagged = 0
-    for i, planned in enumerate(plan):
-        verdict_json = verdicts[i]
-        found = verdict_json["result"] == "found"
-        ok = found if planned["expected"] == "coincident" else not found
+    for (a, b, expected, flag, note), verdict in zip(plan, verdicts):
+        found = verdict["result"] == "found"
         row = {
-            "a": str(planned["a"]),
-            "b": str(planned["b"]),
-            "expected": planned["expected"],
-            "verdict": verdict_json,
-            "pass": ok,
+            "a": str(a),
+            "b": str(b),
+            "expected": expected,
+            "verdict": verdict,
+            "pass": found == (expected == "coincident"),
         }
-        if planned.get("flag"):
-            row["flag"] = planned["flag"]
-            flagged += 1
-        note = planned.get("note")
-        if planned["a"] != planned["b"] and presentation_of(
-            planned["a"]
-        ) == presentation_of(planned["b"]):
+        if flag:
+            row["flag"] = flag
+        if a != b and presentation_of(a) == presentation_of(b):
             note = "identical_presentations"
         if note:
             row["note"] = note
-        if planned.get("flag") == "non-rigidity":
-            v = pi6_distinguish(planned["a"], planned["b"])
+        if flag == "non-rigidity":
+            v = pi6_distinguish(a, b)
             row["pi6"] = {
                 "a": v.left.to_json(),
                 "b": v.right.to_json(),
                 "verdict": v.result,
             }
-        if not ok:
-            failures += 1
         rows.append(row)
     return {
         "rows": rows,
         "summary": {
             "pairs": str(len(rows)),
-            "failures": str(failures),
-            "flagged": str(flagged),
+            "failures": str(sum(not row["pass"] for row in rows)),
+            "flagged": str(sum("flag" in row for row in rows)),
         },
     }

@@ -243,26 +243,3 @@ def projectivize(base_spec: TowerSpec, xi: BundleDescriptor) -> TowerSpec:
         raise BundleError("projectivizing a line bundle gives a point fiber")
     stage = Stage(fiber_dim=xi.rank - 1, chern=xi.chern)
     return TowerSpec(stages=base_spec.stages + (stage,))
-
-
-def bundle_from_json(base: RingPresentation, data) -> BundleDescriptor:
-    if not isinstance(data, dict):
-        raise BundleError("bundle descriptor must be an object")
-    extra = set(data) - {"rank", "chern", "alpha", "schema"}
-    if extra:
-        raise BundleError(f"unknown keys {sorted(extra)}")
-    if "rank" not in data or "chern" not in data:
-        raise BundleError("bundle descriptor needs 'rank' and 'chern'")
-    try:
-        rank = int(data["rank"])
-    except (TypeError, ValueError):
-        raise BundleError("rank must be an integer")
-    chern_raw = data["chern"]
-    if not isinstance(chern_raw, list):
-        raise BundleError("chern must be a list of polynomials")
-    chern = tuple(
-        Poly.from_json(base.ngens, entry) for entry in chern_raw
-    )
-    alpha_raw = data.get("alpha")
-    alpha = None if alpha_raw is None else int(alpha_raw)
-    return BundleDescriptor(base=base, rank=rank, chern=chern, alpha=alpha)

@@ -260,19 +260,16 @@ def _cmd_sweep(args) -> int:
     return 0 if body["summary"]["failures"] == "0" else 1
 
 
-def _cmd_chern_tensor(args) -> int:
+def _rank2_bundle(args) -> BundleDescriptor:
+    """The rank-2 bundle of ``--base``, ``--c1``, ``--c2`` and ``--alpha``."""
     base = _resolve_presentation(args.base)
-    names = _gen_names(base.ngens)
-    xi = BundleDescriptor(
-        base,
-        2,
-        (
-            parse_poly_text(args.c1, base.ngens, names),
-            parse_poly_text(args.c2, base.ngens, names),
-        ),
-        args.alpha,
-    )
-    twisted = tensor_line(xi, parse_poly_text(args.by, base.ngens, names))
+    chern = tuple(parse_poly_text(c, base.ngens) for c in (args.c1, args.c2))
+    return BundleDescriptor(base, 2, chern, args.alpha)
+
+
+def _cmd_chern_tensor(args) -> int:
+    xi = _rank2_bundle(args)
+    twisted = tensor_line(xi, parse_poly_text(args.by, xi.base.ngens))
     _print_json({"schema": _SCHEMA, **twisted.to_json()})
     return 0
 
@@ -296,18 +293,7 @@ def _cmd_chern_milnor(args) -> int:
 
 
 def _cmd_chern_normalize(args) -> int:
-    base = _resolve_presentation(args.base)
-    names = _gen_names(base.ngens)
-    xi = BundleDescriptor(
-        base,
-        2,
-        (
-            parse_poly_text(args.c1, base.ngens, names),
-            parse_poly_text(args.c2, base.ngens, names),
-        ),
-        args.alpha,
-    )
-    normalized, twist = normalize_c1(xi)
+    normalized, twist = normalize_c1(_rank2_bundle(args))
     _print_json({
         "schema": _SCHEMA,
         **normalized.to_json(),

@@ -27,7 +27,10 @@ engines directly.  Its work is split by what it depends on:
     of the linear form of every box column c, in the target's graded basis
     (``_BoxPowers``; a one-slot cache keeps the latest target's).  Relations
     must be homogeneous (the search refuses others), so source relation d
-    mentions only x_0..x_d and is checked at depth d;
+    has weight cap_d + 1, mentions only x_0..x_d and is checked at depth d.
+    Equal Poincare series, which a search needs, give equal caps, so no
+    source exponent passes max(caps) + 1 and the tables depend on the
+    target and the bound alone;
 (b) per prefix node: relation d, written sum_e x_d^e * P_e(x_0..x_(d-1)),
     has its prefix parts P_e evaluated once, and they fold into one dense
     integer matrix A and one target vector t such that the image at
@@ -285,15 +288,16 @@ def _image_index(values: list, peaks: list, a: tuple) -> tuple:
 
 class _BoxPowers:
     """The target-side tables of a search: the box columns, their power
-    vectors and the image indexes.  They depend only on (target, bound, top
-    exponent of the source relations), so :func:`_box_powers` shares them
-    between consecutive searches.
+    vectors and the image indexes.  They depend only on (target, bound), so
+    :func:`_box_powers` shares them between consecutive searches.
 
     ``values[p][idx]`` is coordinate p of the power vector of box column
     idx: the powers L^1, ..., L^E of its linear form L, each in the target's
     graded basis of its weight, laid end to end (L^e starts at
-    ``offset[e]``).  ``power`` slices L^e from the same coordinates
-    transposed once into one row per box column.
+    ``offset[e]``).  E is max(caps) + 1, the largest exponent a searchable
+    source relation holds; powers past the top weight are zero and are not
+    tabulated.  ``power`` slices L^e from the same coordinates transposed
+    once into one row per box column.
 
     ``index(a)`` is the image index of a folded matrix ``a``: the box
     indices sorted by their image under ``a``, packed into one exact
@@ -305,7 +309,7 @@ class _BoxPowers:
     counts index builds (misses) and lookups of a built index (hits).
     """
 
-    def __init__(self, pres_b: RingPresentation, bound: int, top: int):
+    def __init__(self, pres_b: RingPresentation, bound: int):
         self.g = pres_b.ngens
         self.columns = list(product(range(-bound, bound + 1), repeat=self.g))
         self.maxw = sum(pres_b.caps)
@@ -314,6 +318,7 @@ class _BoxPowers:
         ]
         self._reduce = pres_b._reduce_monomial
         self._products: dict = {}
+        top = max(pres_b.caps) + 1
         self.offset = [0, 0]
         for e in range(1, top + 1):
             self.offset.append(self.offset[e] + self.dim(e))
@@ -398,11 +403,11 @@ class _BoxPowers:
 
 
 @lru_cache(maxsize=1)
-def _box_powers(pres_b: RingPresentation, bound: int, top: int) -> _BoxPowers:
-    """The tables of the latest (target, bound, top) only: a sweep that
-    meets its pairs target by target builds each target's tables once, and
-    no more than one target's tables outlive a search."""
-    return _BoxPowers(pres_b, bound, top)
+def _box_powers(pres_b: RingPresentation, bound: int) -> _BoxPowers:
+    """The tables of the latest (target, bound) only: a sweep that meets
+    its pairs target by target builds each target's tables once, whatever
+    the sources, and no more than one target's tables outlive a search."""
+    return _BoxPowers(pres_b, bound)
 
 
 class _ColumnWalk:
@@ -500,11 +505,9 @@ def _search_matrices(
             if any(rel.homogeneous_weight() is None
                    for rel in pres.relations):
                 raise IsoShapeError("search needs homogeneous relations")
-        top = max(
-            e for rel in pres_a.relations for mono in rel.terms for e in mono
+        found = _ColumnWalk(pres_a, _box_powers(pres_b, bound)).walk(
+            0, [], {0: 1}
         )
-        tables = _box_powers(pres_b, bound, top)
-        found = _ColumnWalk(pres_a, tables).walk(0, [], {0: 1})
     for rows, det in found:
         if not verify(pres_a, pres_b, rows):
             raise RuntimeError(
@@ -559,24 +562,16 @@ def search_all_reference(
     pres_a: RingPresentation, pres_b: RingPresentation, bound: int = 3
 ) -> list[Matrix]:
     """Unpruned reference engine: enumerate the whole flattened entry box
-    and verify each matrix directly.  Exists to pin the pruned engine's
-    enumeration order and acceptance predicate; use only on small cases.
+    and keep each matrix :func:`verify` accepts.  Exists to pin the pruned
+    engine's enumeration order and acceptance predicate; use only on small
+    cases.
     """
     if not _check_searchable(pres_a, pres_b, bound):
         return []
     g = pres_a.ngens
-    out = []
-    for flat in product(range(-bound, bound + 1), repeat=g * g):
-        # column-major flattening: column k occupies flat[k*g : (k+1)*g]
-        rows = tuple(
-            tuple(flat[k * g + i] for k in range(g)) for i in range(g)
-        )
-        if matrix_det(rows) not in (1, -1):
-            continue
-        images = images_from_matrix(pres_b, rows)
-        if all(
-            pres_b.normal_form(rel.substitute(images)).is_zero()
-            for rel in pres_a.relations
-        ):
-            out.append(rows)
-    return out
+    # column-major flattening: column k occupies flat[k*g : (k+1)*g]
+    matrices = (
+        tuple(tuple(flat[k * g + i] for k in range(g)) for i in range(g))
+        for flat in product(range(-bound, bound + 1), repeat=g * g)
+    )
+    return [rows for rows in matrices if verify(pres_a, pres_b, rows)]

@@ -19,7 +19,7 @@ decreases this order, which is what makes its reduction terminate.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 Monomial = tuple  # tuple[int, ...]
 
@@ -254,15 +254,6 @@ class Poly:
             result = result + term
         return result
 
-    def embed(self, nvars: int) -> "Poly":
-        """Reinterpret in a larger ring; new trailing generators unused."""
-        if nvars < self.nvars:
-            raise ValueError("cannot embed into fewer generators")
-        if nvars == self.nvars:
-            return self
-        pad = (0,) * (nvars - self.nvars)
-        return Poly(nvars, {m + pad: c for m, c in self.terms.items()})
-
     def coefficient(self, exps: Sequence[int]) -> int:
         return self.terms.get(tuple(exps), 0)
 
@@ -324,20 +315,3 @@ class Poly:
             prev_key = key
             terms[mono] = coeff
         return cls(nvars, terms)
-
-
-def poly_sum(nvars: int, polys: Iterable[Poly]) -> Poly:
-    total = Poly(nvars)
-    for p in polys:
-        total = total + p
-    return total
-
-
-def iter_monomials(bounds: Sequence[int]) -> Iterator[Monomial]:
-    """All exponent tuples with 0 <= e_k <= bounds[k], in no particular order."""
-    if not bounds:
-        yield ()
-        return
-    for head in range(bounds[0] + 1):
-        for tail in iter_monomials(bounds[1:]):
-            yield (head,) + tail

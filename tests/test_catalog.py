@@ -22,7 +22,13 @@ from cptower import (
     verify,
 )
 from cptower import isosearch
-from cptower.catalog import THEOREMS, _cached_search, _worker_count
+from cptower.catalog import (
+    MAX_CP_DIM,
+    THEOREMS,
+    _cached_search,
+    _worker_count,
+    cp_spec,
+)
 from cptower.cli import resolve_ring_arg
 from conftest import TAMPERED_CACHE_ENTRIES, fam, pres
 
@@ -104,6 +110,12 @@ def test_presentation_of_is_cached():
 def test_m8_alpha_does_not_touch_the_ring():
     assert presentation_of(fam("M8:0,2")) == presentation_of(fam("M8:1,2"))
     assert build(fam("M8:0,2")) == build(fam("M8:1,2"))
+
+
+def test_cp_spec_limit():
+    assert cp_spec(MAX_CP_DIM).stages[0].fiber_dim == MAX_CP_DIM
+    with pytest.raises(ValueError, match="above the limit of CP1000"):
+        cp_spec(MAX_CP_DIM + 1)
 
 
 def test_stage_bundle():
@@ -313,9 +325,9 @@ def test_sweep_builds_each_target_table_once(monkeypatch):
     built = Counter()
 
     class CountingBoxPowers(isosearch._BoxPowers):
-        def __init__(self, pres_b, bound, top):
+        def __init__(self, pres_b, bound):
             built[pres_b] += 1
-            super().__init__(pres_b, bound, top)
+            super().__init__(pres_b, bound)
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a sequential sweep starts no pool")
@@ -369,6 +381,21 @@ def test_sweep_rows_do_not_depend_on_jobs():
     serial = sweep_distinctness("three-stage", 1, 2, jobs=1)
     parallel = sweep_distinctness("three-stage", 1, 2, jobs=3)
     assert json.dumps(serial, sort_keys=True) == json.dumps(parallel, sort_keys=True)
+
+
+@pytest.mark.parametrize("theorem, flag, keys", [
+    ("eight-dim", "non-rigidity",
+     ["a", "b", "expected", "verdict", "pass", "flag", "note", "pi6"]),
+    ("three-stage", "conflicting-claims",
+     ["a", "b", "expected", "verdict", "pass", "flag", "note"]),
+])
+def test_sweep_row_key_order(theorem, flag, keys):
+    # reports are printed without sort_keys, so the key order is output
+    rows = sweep_distinctness(theorem, 1, 2)["rows"]
+    flagged = [row for row in rows if row.get("flag") == flag]
+    assert flagged and all(list(row) == keys for row in flagged)
+    plain = next(row for row in rows if "flag" not in row)
+    assert list(plain) == ["a", "b", "expected", "verdict", "pass"]
 
 
 def test_sweep_validation():

@@ -280,32 +280,3 @@ def test_projectivize_validation():
     line = BundleDescriptor(base=presentation(base_spec), rank=1, chern=(Poly.zero(1),))
     with pytest.raises(BundleError, match="point fiber"):
         projectivize(base_spec, line)
-
-
-# -- JSON -------------------------------------------------------------------
-
-
-def test_bundle_json_round_trip():
-    from cptower.chern import bundle_from_json
-
-    xi = rank2(cp(3), x_poly(2), Poly(1, {(2,): 7}), alpha=1)
-    assert bundle_from_json(cp(3), xi.to_json()) == xi
-    plain = rank2(cp(2), x_poly(1), Poly.zero(1))
-    assert bundle_from_json(cp(2), plain.to_json()) == plain
-
-
-@pytest.mark.parametrize(
-    "data, message",
-    [
-        ([], "must be an object"),
-        ({"rank": "2", "chern": [], "zz": 1}, "unknown keys"),
-        ({"rank": "2"}, "needs 'rank' and 'chern'"),
-        ({"rank": "x", "chern": []}, "rank must be an integer"),
-        ({"rank": "1", "chern": {}}, "chern must be a list"),
-    ],
-)
-def test_bundle_from_json_rejects(data, message):
-    from cptower.chern import bundle_from_json
-
-    with pytest.raises(BundleError, match=message):
-        bundle_from_json(cp(2), data)

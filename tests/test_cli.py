@@ -162,6 +162,21 @@ def test_ring_unknown_family(capsys):
     assert err.startswith("error: unknown family tag")
 
 
+@pytest.mark.parametrize("argv", [
+    ("ring", "CP1001"),
+    ("iso", "CP1001", "CP1001", "--bound", "3"),
+])
+def test_oversized_cp_is_a_usage_error(capsys, monkeypatch, argv):
+    # refused before any stage is built
+    def no_stage(*args, **kwargs):
+        raise AssertionError("an oversized CPn builds no stage")
+
+    monkeypatch.setattr("cptower.catalog.Stage", no_stage)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: CP1001 is above the limit of CP1000"
+
+
 def test_resolve_ring_arg_spellings():
     assert resolve_ring_arg("CP3").ngens == 1
     assert resolve_ring_arg("H-3").stages[1].chern[0] == Poly(1, {(1,): -3})

@@ -2,10 +2,11 @@
 
 import gc
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cptower import (
@@ -14,14 +15,17 @@ from cptower import (
     RingPresentation,
     SearchVerdict,
     compose,
+    families_for_theorem,
     invert_unimodular,
     matrix_det,
+    presentation_of,
     search,
     search_all,
     search_all_reference,
     verify,
 )
 from cptower import isosearch
+from cptower.catalog import THEOREMS
 from cptower.isosearch import (
     MAX_BOX_COLUMNS,
     _box_powers,
@@ -255,7 +259,7 @@ def test_index_lookup_filters_the_box(g, bound, data):
     # target, ascending; out-of-limit digits that alias a reachable target
     # under the packing find nothing
     ring = {1: cp(3), 2: pres("Eta2:1,-2"), 3: pres("Zeta3:1,1,2")}[g]
-    tables = _BoxPowers(ring, bound, 2)
+    tables = _BoxPowers(ring, bound)
     values, n = tables.values, len(tables.columns)
     width = len(values)
     a = tuple(data.draw(st.lists(
@@ -349,7 +353,7 @@ def test_index_store_is_bounded(monkeypatch):
                      ("Zeta3:1,0,0", "Xi3:0,0,0")):
             pa, pb = pres(a), pres(b)
             assert search_all(pa, pb, 1) == search_all_reference(pa, pb, 1)
-            info = _box_powers(pb, 1, 2).index.cache_info()  # the slot
+            info = _box_powers(pb, 1).index.cache_info()  # the slot
             assert info.maxsize == 2 and info.currsize <= 2
             assert info.misses > 2  # indexes were evicted and rebuilt
     finally:
@@ -373,21 +377,55 @@ def test_search_frees_its_tables_on_return():
     assert (walks, tables, left) == (0, 1, 0)
 
 
-def test_box_powers_slot_is_keyed_by_target_bound_and_top():
+def test_box_powers_slot_is_keyed_by_target_and_bound():
     b1, b2 = hirzebruch(0), hirzebruch(2)
     _box_powers.cache_clear()
-    first = _box_powers(b1, 2, 2)
-    assert _box_powers(hirzebruch(0), 2, 2) is first  # equal by content
-    for key in ((b2, 2, 2), (b1, 1, 2), (b1, 2, 3)):
+    first = _box_powers(b1, 2)
+    assert _box_powers(hirzebruch(0), 2) is first  # equal by content
+    for key in ((b2, 2), (b1, 1)):
         other = _box_powers(*key)
         assert other is not first
         fresh = _BoxPowers(*key)
         assert (other.columns, other.bases, other.values) == (
             fresh.columns, fresh.bases, fresh.values
         )
-        assert _box_powers(b1, 2, 2) is not first  # the slot holds one key
-        first = _box_powers(b1, 2, 2)
+        assert _box_powers(b1, 2) is not first  # the slot holds one key
+        first = _box_powers(b1, 2)
     _box_powers.cache_clear()
+
+
+def _caps_ring(caps):
+    """Z[x_1..x_g]/(x_k^(cap_k + 1)): a ring with the given caps."""
+    g = len(caps)
+    return RingPresentation(caps, [
+        Poly.monomial(g, [cap + 1 if i == k else 0 for i in range(g)])
+        for k, cap in enumerate(caps)
+    ])
+
+
+caps_tuples = st.lists(st.integers(1, 7), min_size=1, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(caps_tuples, caps_tuples, st.randoms(use_true_random=False))
+# equal rank and top degree: prod(cap + 1) = 72, sum(caps) = 11
+@example([1, 5, 5], [2, 2, 7], random.Random(0))
+def test_equal_series_mean_equal_caps(caps_a, other, rng):
+    # the search tables are keyed on (target, bound) alone: a search reaches
+    # them only when the Poincare series agree, which makes the caps of
+    # source and target the same multiset, and relation k of a searchable
+    # presentation (homogeneous, leading with x_k^(cap_k + 1)) holds no
+    # exponent above max(caps) + 1
+    shuffled = list(caps_a)
+    rng.shuffle(shuffled)
+    for caps_b in (shuffled, other):
+        assert (_caps_ring(caps_a).poincare() == _caps_ring(caps_b).poincare()
+                ) == (sorted(caps_a) == sorted(caps_b))
+    ids = {f for t in THEOREMS for f in families_for_theorem(t, 4)}
+    for fid in ids:
+        ring = presentation_of(fid)
+        top = max(e for rel in ring.relations for m in rel.terms for e in m)
+        assert top == max(ring.caps) + 1, fid
 
 
 def test_interleaved_searches_match_reference():

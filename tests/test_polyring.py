@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cptower.polyring import (
-    Poly,
-    PolyJSONError,
-    iter_monomials,
-    monomial_key,
-    poly_sum,
-)
+from cptower.polyring import Poly, PolyJSONError, monomial_key
 
 
 def p(nvars, terms):
@@ -185,31 +179,13 @@ def test_substitute_identity_images():
     assert q.substitute(ident) == q
 
 
-# -- embed / coefficient / helpers -----------------------------------------
-
-
-def test_embed_pads_trailing_generators():
-    q = p(2, {(1, 1): 2})
-    assert q.embed(4).terms == {(1, 1, 0, 0): 2}
-    assert q.embed(2) is q
-    with pytest.raises(ValueError, match="fewer generators"):
-        q.embed(1)
+# -- coefficient ------------------------------------------------------------
 
 
 def test_coefficient_lookup():
     q = p(2, {(1, 1): 2})
     assert q.coefficient((1, 1)) == 2
     assert q.coefficient((0, 0)) == 0
-
-
-def test_poly_sum_and_iter_monomials():
-    xs = [Poly.variable(2, 0)] * 3
-    assert poly_sum(2, xs).terms == {(1, 0): 3}
-    assert poly_sum(2, []).is_zero()
-    monos = list(iter_monomials((1, 2)))
-    assert len(monos) == 6
-    assert set(monos) == {(a, b) for a in range(2) for b in range(3)}
-    assert list(iter_monomials(())) == [()]
 
 
 # -- JSON -------------------------------------------------------------------

@@ -131,8 +131,9 @@ def _presentation_always_reducing(spec: TowerSpec) -> RingPresentation:
         for i, c in enumerate(reduced, start=1):
             shift = [0] * g
             shift[k] = n + 1 - i
-            for mono, coeff in c.embed(g).terms.items():
-                m = tuple(a + b for a, b in zip(mono, shift))
+            pad = (0,) * (g - c.nvars)
+            for mono, coeff in c.terms.items():
+                m = tuple(a + b for a, b in zip(mono + pad, shift))
                 v = terms.get(m, 0) + coeff
                 if v:
                     terms[m] = v
