@@ -40,6 +40,7 @@ from .isosearch import (
 )
 from .polyring import Poly
 from .towers import (
+    MAX_FIBER_DIM,
     RingPresentation,
     Stage,
     TowerSpec,
@@ -108,15 +109,12 @@ def _zeros(nvars: int, count: int) -> tuple:
     return tuple(Poly.zero(nvars) for _ in range(count))
 
 
-# The largest n a CP^n spec is built for: its n + 1 Chern classes, and the
-# time a search over it takes, grow with n.
-MAX_CP_DIM = 1_000
-
-
 def cp_spec(n: int) -> TowerSpec:
-    """CP^n as a one-stage tower; n above :data:`MAX_CP_DIM` is refused."""
-    if n > MAX_CP_DIM:
-        raise ValueError(f"CP{n} is above the limit of CP{MAX_CP_DIM}")
+    """CP^n as a one-stage tower; n above
+    :data:`~cptower.towers.MAX_FIBER_DIM` is refused before anything is
+    built."""
+    if n > MAX_FIBER_DIM:
+        raise ValueError(f"CP{n} is above the limit of CP{MAX_FIBER_DIM}")
     return TowerSpec((Stage(n, _zeros(0, n + 1)),))
 
 
@@ -209,6 +207,20 @@ def stage_bundle(fid: FamilyId) -> BundleDescriptor:
 # -- canonical lists -------------------------------------------------------
 
 
+# The largest family range a list is built for: the lists grow linearly
+# with the range, and a sweep over one quadratically.
+MAX_RANGE = 1_000
+# The most rows a sweep plans; ``eight-dim`` at range 20 has 7,626.
+MAX_SWEEP_ROWS = 100_000
+
+
+def _check_range(n: int) -> None:
+    if n < 0:
+        raise ValueError("range must be non-negative")
+    if n > MAX_RANGE:
+        raise ValueError(f"range {n} is above the limit of {MAX_RANGE}")
+
+
 def _two_stage(n: int) -> list[FamilyId]:
     out = [FamilyId("GB2", (k,)) for k in range(0, min(2, n) + 1)]
     out += [
@@ -237,14 +249,14 @@ def canonical_families(n: int = 4) -> list[FamilyId]:
     favor of (0,1,*) via the recorded (0,1,b) ~ (1,1,-b) coincidence, and
     Eta2:0,0 is dropped in favor of GB2:0 (both are CP^1 x CP^2).
     """
-    if n < 0:
-        raise ValueError("range must be non-negative")
+    _check_range(n)
     return [FamilyId("CP3", ())] + _two_stage(n) + _three_stage(n)
 
 
 def families_for_theorem(theorem: str, n: int = 4) -> list[FamilyId]:
-    if n < 0:
-        raise ValueError("range must be non-negative")
+    """The family ids of a theorem's list at range ``n``; ``n`` above
+    :data:`MAX_RANGE` is refused before any id is built."""
+    _check_range(n)
     if theorem == "main":
         return canonical_families(n)
     if theorem == "two-stage":
@@ -383,28 +395,35 @@ def _expected_row(a: FamilyId, b: FamilyId) -> tuple:
 def _plan_rows(theorem: str, n: int) -> list[tuple]:
     """(a, b, expected, flag, note) for every row of a sweep, in report
     order: each unordered pair of the theorem's list (self pairs included),
-    then any recorded claim pairs."""
+    then any recorded claim pairs.  More than :data:`MAX_SWEEP_ROWS` rows
+    are refused before any pair is built."""
     fams = families_for_theorem(theorem, n)
-    plan = [
-        (a, b, *_expected_row(a, b), None)
-        for i, a in enumerate(fams) for b in fams[i:]
-    ]
+    claims = []
     if theorem in ("main", "three-stage"):
         # Two recorded coincidence claims for the H_0/H_1 overlap disagree
         # with each other; both are swept under one flag, with the expected
         # values set to what the search actually certifies.
-        plan.append((
+        claims.append((
             FamilyId("Zeta3", (1, 0, 0)), FamilyId("Xi3", (0, 0, 0)),
             "coincident", "conflicting-claims",
             "recorded-claim-pair: certificate exists",
         ))
         if n >= 1:
-            plan.append((
+            claims.append((
                 FamilyId("Zeta3", (0, 0, 1)), FamilyId("Xi3", (0, 0, 0)),
                 "distinct", "conflicting-claims",
                 "recorded-claim-pair: no certificate within bound",
             ))
-    return plan
+    rows = len(fams) * (len(fams) + 1) // 2 + len(claims)
+    if rows > MAX_SWEEP_ROWS:
+        raise ValueError(
+            f"the {theorem} sweep at range {n} has {rows} rows, above the "
+            f"limit of {MAX_SWEEP_ROWS}"
+        )
+    return [
+        (a, b, *_expected_row(a, b), None)
+        for i, a in enumerate(fams) for b in fams[i:]
+    ] + claims
 
 
 # Cache directories a write already failed in, so each warns only once.
@@ -443,16 +462,32 @@ def _check_cached(
         raise ValueError("cached reason disagrees with the Poincare series")
 
 
+def _cache_key(
+    pres_a: RingPresentation, pres_b: RingPresentation, bound: int
+) -> str:
+    """Hex SHA-256 naming a pair's verdict-cache entry, derived from
+    (schema, tool version, both presentations' canonical identities,
+    bound), so a version bump or any presentation change invalidates old
+    entries."""
+    import hashlib  # only a cached search pays for loading it
+
+    # repr of nested int tuples is injective and holds no "|"
+    key = (
+        f"cpt/1|{_tool_version()}|{pres_a.identity!r}|{pres_b.identity!r}"
+        f"|{bound}"
+    )
+    return hashlib.sha256(key.encode("utf-8")).hexdigest()
+
+
 def _cached_search(
     pres_a: RingPresentation,
     pres_b: RingPresentation,
     bound: int,
     cache_dir: str | None,
 ) -> SearchVerdict:
-    """search() with an optional on-disk verdict cache.
+    """search() with an optional on-disk verdict cache, keyed by
+    :func:`_cache_key`.
 
-    Keyed by (schema, tool version, both presentation JSONs, bound), so a
-    version bump or any presentation change invalidates old entries.
     Every field of a cached verdict is checked before it is trusted (see
     :func:`_check_cached`); an entry that fails, or cannot be read, is
     recomputed and overwritten.  A failed cache write costs only a warning
@@ -461,18 +496,8 @@ def _cached_search(
     """
     if cache_dir is None:
         return search(pres_a, pres_b, bound)
-    import hashlib  # only a cached search pays for loading it
-
     series_agree = _check_searchable(pres_a, pres_b, bound)
-    key = "|".join([
-        "cpt/1",
-        _tool_version(),
-        json.dumps(pres_a.to_json(), sort_keys=True),
-        json.dumps(pres_b.to_json(), sort_keys=True),
-        str(bound),
-    ])
-    digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
-    path = os.path.join(cache_dir, f"{digest}.json")
+    path = os.path.join(cache_dir, f"{_cache_key(pres_a, pres_b, bound)}.json")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             verdict = SearchVerdict.from_json(json.load(fh), bound=bound)

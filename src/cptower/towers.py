@@ -40,6 +40,11 @@ class DualityError(ArithmeticError):
     """A pairing matrix that should have been unimodular was not."""
 
 
+# The largest fiber dimension a stage may have: a stage's n + 1 Chern
+# classes, and the time a search over its ring takes, grow with n.
+MAX_FIBER_DIM = 1_000
+
+
 @dataclass(frozen=True)
 class Stage:
     """One projectivization step.
@@ -63,6 +68,11 @@ class TowerSpec:
             if stage.fiber_dim < 1:
                 raise TowerSpecError(
                     f"stage {idx} fiber_dim must be at least 1 (fiber at least CP^1)"
+                )
+            if stage.fiber_dim > MAX_FIBER_DIM:
+                raise TowerSpecError(
+                    f"stage {idx} fiber_dim {stage.fiber_dim} is above the "
+                    f"limit of {MAX_FIBER_DIM}"
                 )
             rank = stage.fiber_dim + 1
             if len(stage.chern) != rank:
@@ -97,6 +107,13 @@ class RingPresentation:
     monomial basis is every exponent tuple below the caps and has
     prod(caps[k]+1) elements.  Instances are immutable (the only interior
     state is a memo table for monomial normal forms, which is a pure cache).
+
+    ``identity`` is the presentation's canonical identity: the caps and each
+    relation's terms in sorted order, as nested tuples of ints.  Two
+    presentations are equal exactly when their identities are, since every
+    relation has ``len(caps)`` variables.  ``==``, ``hash`` (computed once,
+    here) and the verdict-cache key (``catalog._cache_key``) all read
+    it, so they cannot disagree.
     """
 
     def __init__(self, caps: Sequence[int], relations: Sequence[Poly]):
@@ -127,6 +144,11 @@ class RingPresentation:
         self.relations = relations
         self.ngens = g
         self._tails = tails
+        self.identity = (
+            caps,
+            tuple(tuple(sorted(rel.terms.items())) for rel in relations),
+        )
+        self._hash = hash(self.identity)
         self._nf_memo: dict[Monomial, dict[Monomial, int]] = {}
         # convolution of (1, 1, ..., 1) blocks, one per stage
         coeffs = [1]
@@ -143,10 +165,10 @@ class RingPresentation:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingPresentation):
             return NotImplemented
-        return self.caps == other.caps and self.relations == other.relations
+        return self._hash == other._hash and self.identity == other.identity
 
     def __hash__(self) -> int:
-        return hash((self.caps, self.relations))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"RingPresentation(caps={self.caps})"

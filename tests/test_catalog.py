@@ -21,15 +21,16 @@ from cptower import (
     sweep_distinctness,
     verify,
 )
-from cptower import isosearch
+from cptower import catalog, isosearch
 from cptower.catalog import (
-    MAX_CP_DIM,
     THEOREMS,
     _cached_search,
+    _plan_rows,
     _worker_count,
     cp_spec,
 )
 from cptower.cli import resolve_ring_arg
+from cptower.towers import MAX_FIBER_DIM, RingPresentation
 from conftest import TAMPERED_CACHE_ENTRIES, fam, pres
 
 
@@ -113,9 +114,9 @@ def test_m8_alpha_does_not_touch_the_ring():
 
 
 def test_cp_spec_limit():
-    assert cp_spec(MAX_CP_DIM).stages[0].fiber_dim == MAX_CP_DIM
+    assert cp_spec(MAX_FIBER_DIM).stages[0].fiber_dim == MAX_FIBER_DIM
     with pytest.raises(ValueError, match="above the limit of CP1000"):
-        cp_spec(MAX_CP_DIM + 1)
+        cp_spec(MAX_FIBER_DIM + 1)
 
 
 def test_stage_bundle():
@@ -166,6 +167,27 @@ def test_families_for_theorem_lists():
     ]
     three = [str(f) for f in families_for_theorem("three-stage", 0)]
     assert three == ["Zeta3:0,0,0", "Zeta3:1,0,0", "Xi3:1,0,0", "Xi3:0,1,0"]
+
+
+def test_range_limit(monkeypatch):
+    monkeypatch.setattr(catalog, "MAX_RANGE", 2)
+    assert families_for_theorem("eight-dim", 2)
+    for theorem in THEOREMS:
+        with pytest.raises(ValueError, match="range 3 is above the limit of 2"):
+            families_for_theorem(theorem, 3)
+    with pytest.raises(ValueError, match="range 3 is above the limit of 2"):
+        canonical_families(3)
+
+
+@pytest.mark.parametrize("theorem, n", [("main", 1), ("three-stage", 0),
+                                        ("eight-dim", 1)])
+def test_sweep_row_limit_counts_every_planned_row(monkeypatch, theorem, n):
+    rows = len(_plan_rows(theorem, n))
+    monkeypatch.setattr(catalog, "MAX_SWEEP_ROWS", rows)
+    assert len(_plan_rows(theorem, n)) == rows
+    monkeypatch.setattr(catalog, "MAX_SWEEP_ROWS", rows - 1)
+    with pytest.raises(ValueError, match=f"has {rows} rows, above the limit"):
+        sweep_distinctness(theorem, n, 1)
 
 
 def test_families_for_theorem_validation():
@@ -485,6 +507,34 @@ def test_cached_search_keeps_honest_entries(tmp_path):
         again = _cached_search(pres(a), pres(b), 2, str(cache_dir))
         assert again == first
         assert (cache_file.read_bytes(), cache_file.stat().st_ino) == before
+
+
+def test_cached_search_reads_no_presentation_json(tmp_path, monkeypatch):
+    def no_json(self):
+        raise AssertionError("the cache key needs no presentation JSON")
+
+    monkeypatch.setattr(RingPresentation, "to_json", no_json)
+    a, b = pres("GB2:1"), pres("GB2:2")
+    first = _cached_search(a, b, 1, str(tmp_path))
+    assert _cached_search(a, b, 1, str(tmp_path)) == first
+    assert first == search(a, b, 1)
+
+
+def test_equal_presentations_share_one_cache_entry(tmp_path, monkeypatch):
+    searches = []
+    real_search = catalog.search
+
+    def counting_search(*args):
+        searches.append(args)
+        return real_search(*args)
+
+    monkeypatch.setattr(catalog, "search", counting_search)
+    target = pres("M8:0,-2")
+    first = _cached_search(pres("M8:0,2"), target, 2, str(tmp_path))
+    assert len(list(tmp_path.iterdir())) == 1 and len(searches) == 1
+    again = _cached_search(pres("M8:1,2"), target, 2, str(tmp_path))
+    assert again == first
+    assert len(list(tmp_path.iterdir())) == 1 and len(searches) == 1
 
 
 def test_sweep_uses_cache_dir(tmp_path):

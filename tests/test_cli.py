@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from cptower import Poly
+from cptower import Poly, towerspec_to_json
+from cptower.catalog import cp_spec
 from cptower.cli import (
     _build_parser,
     format_poly,
@@ -175,6 +176,17 @@ def test_oversized_cp_is_a_usage_error(capsys, monkeypatch, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.strip() == "error: CP1001 is above the limit of CP1000"
+
+
+def test_oversized_fiber_in_a_tower_file_is_a_usage_error(
+    capsys, tmp_path, monkeypatch
+):
+    path = tmp_path / "cp3.json"
+    path.write_text(json.dumps(towerspec_to_json(cp_spec(3))))
+    monkeypatch.setattr("cptower.towers.MAX_FIBER_DIM", 2)
+    code, out, err = run_cli(capsys, "iso", str(path), str(path))
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: stage 1 fiber_dim 3 is above the limit of 2"
 
 
 def test_resolve_ring_arg_spellings():
@@ -478,6 +490,28 @@ def test_catalog_list_rejects_a_negative_range(capsys):
     )
     assert code == 2 and out == ""
     assert "range must be non-negative" in err
+
+
+def test_catalog_list_refuses_a_range_above_the_limit(capsys, monkeypatch):
+    monkeypatch.setattr("cptower.catalog.MAX_RANGE", 2)
+    code, out, err = run_cli(capsys, "catalog-list", "--range", "3")
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: range 3 is above the limit of 2"
+
+
+def test_sweep_refuses_rows_above_the_limit(capsys, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("a refused sweep searches nothing")
+
+    monkeypatch.setattr("cptower.catalog.MAX_SWEEP_ROWS", 44)
+    monkeypatch.setattr("cptower.catalog.search", no_search)
+    code, out, err = run_cli(
+        capsys, "sweep", "--theorem", "eight-dim", "--range", "1"
+    )
+    assert (code, out) == (2, "")
+    assert err.strip() == (
+        "error: the eight-dim sweep at range 1 has 45 rows, above the limit of 44"
+    )
 
 
 def test_catalog_list_json(capsys):

@@ -19,8 +19,8 @@ from cptower import (
     towerspec_from_json,
     towerspec_to_json,
 )
-from cptower.catalog import THEOREMS, build, families_for_theorem
-from cptower.towers import _restrict
+from cptower.catalog import THEOREMS, _cache_key, build, families_for_theorem
+from cptower.towers import MAX_FIBER_DIM, _restrict
 from conftest import cp, cp_spec, hirzebruch, hirzebruch_spec, trivial_tower
 
 
@@ -61,6 +61,16 @@ def test_towerspec_validation_messages():
             Stage(1, (Poly.zero(0), Poly.zero(0))),
             Stage(1, (Poly.constant(1, 3), Poly.zero(1))),
         ))
+
+
+def test_fiber_dim_limit():
+    at_limit = Stage(MAX_FIBER_DIM, (Poly.zero(0),) * (MAX_FIBER_DIM + 1))
+    assert TowerSpec((at_limit,)).real_dimension == 2 * MAX_FIBER_DIM
+    over = {"stages": [{"fiber_dim": str(MAX_FIBER_DIM + 1), "chern": []}]}
+    with pytest.raises(
+        TowerSpecError, match="stage 1 fiber_dim 1001 is above the limit of 1000"
+    ):
+        towerspec_from_json(over)
 
 
 def test_towerspec_properties():
@@ -184,6 +194,54 @@ def test_presentation_matches_the_always_reducing_reference(spec):
     ref = _presentation_always_reducing(spec)
     assert pres.caps == ref.caps
     assert pres.relations == ref.relations
+
+
+# -- canonical identity -------------------------------------------------------
+
+
+def _key(pres):
+    return _cache_key(pres, pres, 2)
+
+
+_SAME_RING = TowerSpec((  # M8:0,2 and M8:1,2 build this alike
+    Stage(3, tuple(Poly.zero(0) for _ in range(4))),
+    Stage(1, (Poly.zero(1), Poly(1, {(2,): 2}))),
+))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tower_specs(), tower_specs())
+@example(_SAME_RING, _SAME_RING)
+def test_equality_hash_and_cache_key_agree(spec_a, spec_b):
+    a, b = presentation(spec_a), presentation(spec_b)
+    same = (a.caps, a.relations) == (b.caps, b.relations)
+    assert (a == b) == same
+    assert (_key(a) == _key(b)) == same
+    if same:
+        assert hash(a) == hash(b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tower_specs())
+def test_identity_ignores_term_order_and_sees_every_coefficient(spec):
+    pres = presentation(spec)
+    g = pres.ngens
+    reversed_terms = RingPresentation(pres.caps, [
+        Poly(g, dict(reversed(list(rel.terms.items()))))
+        for rel in pres.relations
+    ])
+    assert reversed_terms == pres
+    assert hash(reversed_terms) == hash(pres)
+    assert _key(reversed_terms) == _key(pres)
+    # one coefficient of the first relation moves by 1
+    terms = dict(pres.relations[0].terms)
+    zero = (0,) * g
+    terms[zero] = terms.get(zero, 0) + 1
+    bumped = RingPresentation(
+        pres.caps, [Poly(g, terms), *pres.relations[1:]]
+    )
+    assert bumped != pres
+    assert _key(bumped) != _key(pres)
 
 
 def test_catalog_presentations_need_no_base_ring(monkeypatch):
