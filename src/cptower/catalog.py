@@ -521,8 +521,9 @@ def _cached_search(
     return verdict
 
 
-def _sweep_worker(args: tuple) -> tuple:
-    idx, a, b, bound, cache_dir = args
+def _sweep_worker(args: tuple) -> dict:
+    """The verdict JSON of one sweep row, from (a, b, bound, cache_dir)."""
+    a, b, bound, cache_dir = args
     pres_a, pres_b = presentation_of(a), presentation_of(b)
     # Cross-shape pairs (different generator counts) are legitimate sweep
     # rows but outside search()'s precondition; their Poincare vectors
@@ -531,38 +532,27 @@ def _sweep_worker(args: tuple) -> tuple:
         verdict = SearchVerdict(
             "none_within_bound", None, None, bound, "betti_mismatch"
         )
-        return idx, verdict.to_json()
-    return idx, _cached_search(pres_a, pres_b, bound, cache_dir).to_json()
-
-
-def _worker_count(jobs: int, rows: int) -> int:
-    """Worker processes for a sweep: no more than were asked for, than the
-    host has processors, or than there are rows."""
-    return max(1, min(jobs, os.cpu_count() or 1, rows))
+        return verdict.to_json()
+    return _cached_search(pres_a, pres_b, bound, cache_dir).to_json()
 
 
 def sweep_distinctness(
     theorem: str = "main",
     n: int = 4,
     bound: int = 3,
-    jobs: int = 1,
     cache_dir: str | None = None,
 ) -> dict:
     """All-pairs distinctness regression over a theorem's family list.
 
     Every unordered pair (self pairs included) gets a row; a row passes
     when the search verdict matches the expected classification.  Rows are
-    searched target by target but emitted in planning order regardless of
-    ``jobs``, so reports are deterministic up to the caller-supplied
-    metadata.  ``jobs`` is an upper bound on worker processes (see
-    ``_worker_count``).
+    searched target by target but emitted in planning order, so reports
+    are deterministic up to the caller-supplied metadata.
     """
     if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem tag {theorem!r}")
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
     plan = _plan_rows(theorem, n)
     # Target-major: rows with one target presentation run back to back, so
     # the search tables, keyed on it alone (isosearch._box_powers), are
@@ -573,20 +563,10 @@ def sweep_distinctness(
         rank.setdefault(presentation_of(b), len(rank)) for _, b, *_ in plan
     ]
     check_box(max(pres.ngens for pres in rank), bound)
-    args = [
-        (i, plan[i][0], plan[i][1], bound, cache_dir)
-        for i in sorted(range(len(plan)), key=ranks.__getitem__)
-    ]
-    workers = _worker_count(jobs, len(args))
-    if workers > 1:
-        # only a parallel sweep pays for loading the process pool
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_worker, args))
-    else:
-        results = map(_sweep_worker, args)
-    verdicts = [vj for _, vj in sorted(results)]  # back to plan order
+    verdicts: list = [None] * len(plan)
+    for i in sorted(range(len(plan)), key=ranks.__getitem__):
+        a, b = plan[i][:2]
+        verdicts[i] = _sweep_worker((a, b, bound, cache_dir))
     rows = []
     for (a, b, expected, flag, note), verdict in zip(plan, verdicts):
         found = verdict["result"] == "found"

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import towers
 from .polyring import Monomial, Poly
 from .towers import RingPresentation, Stage, TowerSpec, presentation
 
@@ -183,6 +184,13 @@ def dual_complement_of_tautological(i: int, j: int) -> TowerSpec:
             f"({i}, {j}) is degenerate: the rank-{j} complement projectivizes "
             "to a point fiber"
         )
+    # the stages hold i + 1 and j Chern classes: refuse before building them
+    for idx, fiber_dim in ((1, i), (2, j - 1)):
+        if fiber_dim > towers.MAX_FIBER_DIM:
+            raise BundleError(
+                f"stage {idx} fiber_dim {fiber_dim} is above the limit of "
+                f"{towers.MAX_FIBER_DIM}"
+            )
     base_stage = Stage(fiber_dim=i, chern=(Poly.zero(0),) * (i + 1))
     chern = []
     for q in range(1, j + 1):

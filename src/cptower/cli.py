@@ -230,7 +230,6 @@ def _cmd_sweep(args) -> int:
         args.theorem,
         args.range,
         args.bound,
-        jobs=args.jobs,
         cache_dir=os.environ.get("CPT_CACHE_DIR"),
     )
     report = {
@@ -241,7 +240,6 @@ def _cmd_sweep(args) -> int:
             "theorem": args.theorem,
             "range": str(args.range),
             "bound": str(args.bound),
-            "jobs": str(args.jobs),
             "elapsed_seconds": f"{time.monotonic() - started:.3f}",
         },
         "rows": body["rows"],
@@ -379,10 +377,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--bound", type=int, default=3)
     sweep.add_argument("--out", help="write the JSON report here")
-    sweep.add_argument(
-        "--jobs", type=int, default=1,
-        help="most worker processes to run in parallel (default 1)",
-    )
     sweep.set_defaults(func=_cmd_sweep)
 
     chern = sub.add_parser("chern", help="Chern-class helpers")

@@ -26,7 +26,6 @@ from cptower.catalog import (
     THEOREMS,
     _cached_search,
     _plan_rows,
-    _worker_count,
     cp_spec,
 )
 from cptower.cli import resolve_ring_arg
@@ -351,11 +350,7 @@ def test_sweep_builds_each_target_table_once(monkeypatch):
             built[pres_b] += 1
             super().__init__(pres_b, bound)
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a sequential sweep starts no pool")
-
     monkeypatch.setattr(isosearch, "_BoxPowers", CountingBoxPowers)
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     isosearch._box_powers.cache_clear()
     try:
         report = sweep_distinctness("eight-dim", 2, 2)
@@ -399,12 +394,6 @@ def test_sweep_builds_each_image_index_once(monkeypatch):
     assert sum(i.hits for i in infos) > len(built)
 
 
-def test_sweep_rows_do_not_depend_on_jobs():
-    serial = sweep_distinctness("three-stage", 1, 2, jobs=1)
-    parallel = sweep_distinctness("three-stage", 1, 2, jobs=3)
-    assert json.dumps(serial, sort_keys=True) == json.dumps(parallel, sort_keys=True)
-
-
 @pytest.mark.parametrize("theorem, flag, keys", [
     ("eight-dim", "non-rigidity",
      ["a", "b", "expected", "verdict", "pass", "flag", "note", "pi6"]),
@@ -427,22 +416,9 @@ def test_sweep_validation():
         sweep_distinctness("main", -1, 2)
     with pytest.raises(ValueError, match="at least 1"):
         sweep_distinctness("main", 1, 0)
-    for jobs in (0, -2):
-        with pytest.raises(ValueError, match="jobs must be at least 1"):
-            sweep_distinctness("main", 1, 2, jobs=jobs)
     # refused up front: 201^3 columns for the 3-generator families
     with pytest.raises(ValueError, match="box of 8120601 columns"):
         sweep_distinctness("three-stage", 0, 100)
-
-
-def test_worker_count_clamps_to_processors_and_rows(monkeypatch):
-    monkeypatch.setattr("os.cpu_count", lambda: 4)
-    assert _worker_count(1, 50) == 1
-    assert _worker_count(3, 50) == 3
-    assert _worker_count(10**6, 50) == 4
-    assert _worker_count(10**6, 2) == 2
-    monkeypatch.setattr("os.cpu_count", lambda: None)  # unknown: one
-    assert _worker_count(8, 50) == 1
 
 
 # -- verdict cache ----------------------------------------------------------

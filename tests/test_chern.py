@@ -18,6 +18,8 @@ from cptower import (
     tensor_line,
     whitney_sum_of_lines,
 )
+from cptower import chern
+from cptower.towers import MAX_FIBER_DIM
 from conftest import cp, cp_spec, hirzebruch
 
 
@@ -257,6 +259,30 @@ def test_milnor_truncates_chern_at_base_dimension():
 def test_milnor_validation(i, j, message):
     with pytest.raises(BundleError, match=message):
         dual_complement_of_tautological(i, j)
+
+
+@pytest.mark.parametrize("i, j, stage", [
+    (1, MAX_FIBER_DIM + 2, 2),
+    (MAX_FIBER_DIM + 1, MAX_FIBER_DIM + 1, 1),
+])
+def test_milnor_refuses_a_large_fiber_before_building(monkeypatch, i, j, stage):
+    built = []
+
+    class CountingPoly(Poly):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(chern, "Poly", CountingPoly)
+    message = f"stage {stage} fiber_dim {MAX_FIBER_DIM + 1} is above the limit"
+    with pytest.raises(BundleError, match=message):
+        dual_complement_of_tautological(i, j)
+    assert built == []
+
+
+def test_milnor_builds_the_largest_fiber():
+    spec = dual_complement_of_tautological(1, MAX_FIBER_DIM + 1)
+    assert spec.stages[1].fiber_dim == MAX_FIBER_DIM
 
 
 # -- projectivize -----------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 
 from cptower import Poly, towerspec_to_json
 from cptower.catalog import cp_spec
+from cptower.towers import MAX_FIBER_DIM
 from cptower.cli import (
     _build_parser,
     format_poly,
@@ -307,30 +308,25 @@ def test_sweep_stdout_report(capsys):
     meta = payload["meta"]
     assert meta["tool"] == "cpt"
     assert meta["theorem"] == "three-stage"
-    assert meta["range"] == "0" and meta["bound"] == "2" and meta["jobs"] == "1"
+    assert meta["range"] == "0" and meta["bound"] == "2"
+    assert "jobs" not in meta
     assert float(meta["elapsed_seconds"]) >= 0.0
     assert payload["summary"] == {"pairs": "11", "failures": "0", "flagged": "1"}
 
 
-def test_sweep_out_file_and_jobs_determinism(capsys, tmp_path):
-    out1 = tmp_path / "serial.json"
-    out2 = tmp_path / "parallel.json"
-    code1, _, _ = run_cli(
-        capsys, "sweep", "--theorem", "three-stage", "--range", "1",
-        "--bound", "2", "--out", str(out1), "--jobs", "1",
-    )
-    code2, _, _ = run_cli(
-        capsys, "sweep", "--theorem", "three-stage", "--range", "1",
-        "--bound", "2", "--out", str(out2), "--jobs", "3",
-    )
-    assert code1 == code2 == 0
-    a = json.loads(out1.read_text())
-    b = json.loads(out2.read_text())
-    # identical up to the run-condition fields in meta
+def test_sweep_out_file_determinism(capsys, tmp_path):
+    outs = [tmp_path / "first.json", tmp_path / "second.json"]
+    for out in outs:
+        code, stdout, _ = run_cli(
+            capsys, "sweep", "--theorem", "three-stage", "--range", "1",
+            "--bound", "2", "--out", str(out),
+        )
+        assert code == 0 and stdout == ""
+    a, b = (json.loads(out.read_text()) for out in outs)
+    # identical up to the one run-condition field in meta
     for report in (a, b):
         report["meta"].pop("elapsed_seconds")
-        report["meta"].pop("jobs")
-    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    assert json.dumps(a) == json.dumps(b)
 
 
 def test_sweep_unwritable_out(capsys, tmp_path):
@@ -367,14 +363,13 @@ def test_sweep_survives_an_unwritable_cache(capsys, tmp_path, monkeypatch):
     assert line.startswith("warning: verdict not cached:")
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_sweep_rejects_fewer_than_one_job(capsys, jobs):
+def test_sweep_has_no_jobs_option(capsys):
     code, out, err = run_cli(
         capsys, "sweep", "--theorem", "three-stage", "--range", "0",
-        "--bound", "2", "--jobs", jobs,
+        "--bound", "2", "--jobs", "2",
     )
     assert code == 2 and out == ""
-    assert err.strip() == "error: jobs must be at least 1"
+    assert "unrecognized arguments: --jobs 2" in err
 
 
 def test_sweep_refuses_an_oversized_box(capsys):
@@ -457,6 +452,17 @@ def test_chern_milnor_validation(capsys):
     code, _, err = run_cli(capsys, "chern", "milnor", "3", "2")
     assert code == 2
     assert "need i <= j" in err
+
+
+def test_chern_milnor_refuses_a_fiber_above_the_limit(capsys):
+    code, out, err = run_cli(
+        capsys, "chern", "milnor", "1", str(MAX_FIBER_DIM + 2)
+    )
+    assert code == 2 and out == ""
+    assert err.strip() == (
+        f"error: stage 2 fiber_dim {MAX_FIBER_DIM + 1} is above the limit "
+        f"of {MAX_FIBER_DIM}"
+    )
 
 
 def test_chern_normalize_fixture(capsys):
@@ -551,7 +557,7 @@ def _without_timing(result):
         ([("iso", "GB2:1"), ("iso", "GB2:1", "GB2:2", "--bound", "1")],
          [2, 0]),
         ([("--version",), ("ring", "CP2")], [0, 0]),
-        ([(*_SWEEP, "--jobs", "0"), _SWEEP], [2, 0]),
+        ([(*_SWEEP, "--bound", "0"), _SWEEP], [2, 0]),
     ],
 )
 def test_shared_parser_matches_a_parser_per_call(capsys, calls, codes):
@@ -583,8 +589,7 @@ def test_importing_the_cli_builds_no_parser():
 
 
 def test_importing_the_cli_loads_no_pool_or_hashlib():
-    # the process pool waits for a sweep with --jobs > 1, hashlib for a
-    # cached search
+    # a sweep runs in one process, and hashlib waits for a cached search
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, cptower.cli; "
