@@ -22,16 +22,6 @@ from .towers import (
     towerspec_from_json,
     towerspec_to_json,
 )
-from .chern import (
-    BundleDescriptor,
-    BundleError,
-    dual_complement_of_tautological,
-    normalize_c1,
-    projectivize,
-    splitting_oracle_tensor,
-    tensor_line,
-    whitney_sum_of_lines,
-)
 from .isosearch import (
     IsoShapeError,
     SearchVerdict,
@@ -105,3 +95,18 @@ __all__ = [
     "pi6_distinguish",
     "sweep_distinctness",
 ]
+
+# The chern names load cptower.chern on first use (PEP 562): no search or
+# sweep needs it.
+_CHERN_NAMES = frozenset({
+    "BundleDescriptor", "BundleError", "dual_complement_of_tautological",
+    "normalize_c1", "projectivize", "splitting_oracle_tensor",
+    "tensor_line", "whitney_sum_of_lines",
+})
+
+
+def __getattr__(name):
+    if name in _CHERN_NAMES:
+        from . import chern
+        return getattr(chern, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -27,10 +27,9 @@ import contextlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
-from .chern import BundleDescriptor
 from .isosearch import (
     SearchVerdict,
     _check_searchable,
@@ -67,22 +66,25 @@ def _tool_version() -> str:
     return __version__
 
 
-@dataclass(frozen=True)
-class FamilyId:
-    tag: str
-    params: tuple = ()
+class FamilyId(namedtuple("FamilyId", "tag params")):
+    """A catalog family: a tag of ``_ARITY`` and its integer parameters,
+    checked on every path (``_make``, ``_replace``, unpickling too).  As a
+    namedtuple it also equals the plain tuple ``(tag, params)``."""
 
-    def __post_init__(self):
-        if self.tag not in _ARITY:
-            raise ValueError(f"unknown family tag {self.tag!r}")
-        if len(self.params) != _ARITY[self.tag]:
+    __slots__ = ()
+
+    def __new__(cls, tag: str, params: tuple = ()):
+        if tag not in _ARITY:
+            raise ValueError(f"unknown family tag {tag!r}")
+        if len(params) != _ARITY[tag]:
             raise ValueError(
-                f"family {self.tag} takes {_ARITY[self.tag]} parameter(s), "
-                f"got {len(self.params)}"
+                f"family {tag} takes {_ARITY[tag]} parameter(s), "
+                f"got {len(params)}"
             )
-        object.__setattr__(
-            self, "params", tuple(int(p) for p in self.params)
-        )
+        return super().__new__(cls, tag, tuple(int(p) for p in params))
+
+    # namedtuple's _make, which _replace calls, would skip the checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def parse(cls, text: str) -> "FamilyId":
@@ -191,6 +193,7 @@ def stage_bundle(fid: FamilyId) -> BundleDescriptor:
     the bundle data but invisible to the ring); N8 has odd c1, which forces
     the tag to 0.
     """
+    from .chern import BundleDescriptor  # loaded on first use
     spec = build(fid)
     if len(spec.stages) < 2:
         raise ValueError(f"{fid} is a single-stage tower; no stage bundle")
@@ -311,20 +314,17 @@ def coincidence_fixtures() -> list[tuple]:
 # -- recorded pi_6 data (the 8-dimensional non-rigidity witness) -----------
 
 
-@dataclass(frozen=True)
-class Pi6Record:
+class Pi6Record(namedtuple("Pi6Record", "family divisibility_ok t pi6")):
     """Recorded sixth homotopy group of an M8 family member.
 
     The recorded rule: when u(u+1)/12 is an integer t, pi_6 is Z12 for
     alpha = t (mod 2) and Z6 otherwise; when the divisibility fails the
     recorded data says nothing (u=1 is a genuine counterexample, where
-    pi_6 vanishes).
+    pi_6 vanishes).  ``pi6`` is "Z12", "Z6" or "unknown".  As a namedtuple
+    it also equals the plain tuple of its fields.
     """
 
-    family: FamilyId
-    divisibility_ok: bool
-    t: int | None
-    pi6: str  # "Z12" | "Z6" | "unknown"
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -335,11 +335,11 @@ class Pi6Record:
         }
 
 
-@dataclass(frozen=True)
-class Pi6Verdict:
-    result: str  # "distinct" | "same_ring" | "unknown"
-    left: Pi6Record
-    right: Pi6Record
+class Pi6Verdict(namedtuple("Pi6Verdict", "result left right")):
+    """``result`` ("distinct", "same_ring" or "unknown") of comparing ``left``
+    with ``right``; as a namedtuple it also equals a plain tuple."""
+
+    __slots__ = ()
 
 
 def pi6_record(fid: FamilyId) -> Pi6Record:

@@ -10,8 +10,8 @@ formulas; the tests play the two against each other on random inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from . import towers
 from .polyring import Monomial, Poly
@@ -28,55 +28,56 @@ def _is_cp3(base: RingPresentation) -> bool:
     return base.relations[0] == Poly(1, {(4,): 1})
 
 
-@dataclass(frozen=True)
-class BundleDescriptor:
+class BundleDescriptor(namedtuple("BundleDescriptor", "base rank chern alpha")):
     """A complex vector bundle over a tower stage, up to its Chern data.
 
     ``chern`` lists c_1..c_rank as polynomials over the base presentation's
-    generators; they are stored in normal form (the constructor reduces
-    them).  ``alpha`` is an optional Z/2 tag completing (c_1, c_2) to a
-    classification of rank-2 bundles over CP^3; it is recorded data only,
+    generators; they are stored in normal form (every construction path
+    reduces them: ``BundleDescriptor(...)``, ``_make``, ``_replace`` and
+    unpickling).  ``alpha`` is an optional Z/2 tag completing (c_1, c_2) to
+    a classification of rank-2 bundles over CP^3; it is recorded data only,
     nothing here ever computes it, and it is forced to 0 whenever c_1 is
-    odd.
+    odd.  As a namedtuple it also equals the plain tuple of its fields.
     """
 
-    base: RingPresentation
-    rank: int
-    chern: tuple[Poly, ...]
-    alpha: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __new__(cls, base: RingPresentation, rank: int,
+                chern: tuple[Poly, ...], alpha: int | None = None):
+        if rank < 1:
             raise BundleError("rank must be positive")
-        if len(self.chern) != self.rank:
+        if len(chern) != rank:
             raise BundleError(
-                f"rank {self.rank} bundle needs {self.rank} chern classes, "
-                f"got {len(self.chern)}"
+                f"rank {rank} bundle needs {rank} chern classes, "
+                f"got {len(chern)}"
             )
         reduced = []
-        for i, c in enumerate(self.chern, start=1):
-            if c.nvars != self.base.ngens:
+        for i, c in enumerate(chern, start=1):
+            if c.nvars != base.ngens:
                 raise BundleError(
                     f"chern class {i} has {c.nvars} generators, base has "
-                    f"{self.base.ngens}"
+                    f"{base.ngens}"
                 )
-            r = self.base.normal_form(c)
+            r = base.normal_form(c)
             if not r.is_homogeneous(i):
                 raise BundleError(
                     f"chern class {i} must be homogeneous of cohomological "
                     f"degree {2 * i} after reduction"
                 )
             reduced.append(r)
-        object.__setattr__(self, "chern", tuple(reduced))
-        if self.alpha is not None:
-            if self.alpha not in (0, 1):
+        if alpha is not None:
+            if alpha not in (0, 1):
                 raise BundleError("alpha must be 0 or 1")
-            if self.rank != 2:
+            if rank != 2:
                 raise BundleError("alpha tag only applies to rank-2 bundles")
-            if not _is_cp3(self.base):
+            if not _is_cp3(base):
                 raise BundleError("alpha tag only applies over CP^3")
-            if self.alpha == 1 and _c1_is_odd(self.chern[0]):
+            if alpha == 1 and _c1_is_odd(reduced[0]):
                 raise BundleError("alpha is forced to 0 when c1 is odd")
+        return super().__new__(cls, base, rank, tuple(reduced), alpha)
+
+    # namedtuple's _make, which _replace calls, would skip the checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def c1(self) -> Poly:

@@ -42,13 +42,6 @@ from .catalog import (
     hirzebruch_spec,
     sweep_distinctness,
 )
-from .chern import (
-    BundleDescriptor,
-    dual_complement_of_tautological,
-    normalize_c1,
-    tensor_line,
-    whitney_sum_of_lines,
-)
 from .isosearch import search_all
 from .polyring import Poly
 from .towers import (
@@ -260,12 +253,14 @@ def _cmd_sweep(args) -> int:
 
 def _rank2_bundle(args) -> BundleDescriptor:
     """The rank-2 bundle of ``--base``, ``--c1``, ``--c2`` and ``--alpha``."""
+    from .chern import BundleDescriptor  # only chern subcommands load it
     base = _resolve_presentation(args.base)
     chern = tuple(parse_poly_text(c, base.ngens) for c in (args.c1, args.c2))
     return BundleDescriptor(base, 2, chern, args.alpha)
 
 
 def _cmd_chern_tensor(args) -> int:
+    from .chern import tensor_line
     xi = _rank2_bundle(args)
     twisted = tensor_line(xi, parse_poly_text(args.by, xi.base.ngens))
     _print_json({"schema": _SCHEMA, **twisted.to_json()})
@@ -273,6 +268,7 @@ def _cmd_chern_tensor(args) -> int:
 
 
 def _cmd_chern_sum(args) -> int:
+    from .chern import whitney_sum_of_lines
     base = _resolve_presentation(args.base)
     names = _gen_names(base.ngens)
     lines = [
@@ -285,12 +281,14 @@ def _cmd_chern_sum(args) -> int:
 
 
 def _cmd_chern_milnor(args) -> int:
+    from .chern import dual_complement_of_tautological
     spec = dual_complement_of_tautological(args.i, args.j)
     _print_json({"schema": _SCHEMA, **towerspec_to_json(spec)})
     return 0
 
 
 def _cmd_chern_normalize(args) -> int:
+    from .chern import normalize_c1
     normalized, twist = normalize_c1(_rank2_bundle(args))
     _print_json({
         "schema": _SCHEMA,

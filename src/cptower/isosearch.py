@@ -53,11 +53,11 @@ substitutes and reduces directly and shares no code with the engine.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from functools import lru_cache, partial
 from itertools import product, repeat
 from operator import add, mul
-from typing import Iterator, Sequence
 
 from .polyring import Poly
 from .towers import RingPresentation, matrix_det
@@ -70,13 +70,12 @@ class IsoShapeError(ValueError):
     opposed to a legitimate negative verdict)."""
 
 
-@dataclass(frozen=True)
-class SearchVerdict:
-    result: str  # "found" | "none_within_bound"
-    matrix: Matrix | None
-    det: int | None
-    bound: int
-    reason: str | None  # "exhausted" | "betti_mismatch" for negative verdicts
+class SearchVerdict(namedtuple("SearchVerdict", "result matrix det bound reason")):
+    """``result`` is "found" (with ``matrix`` and its ``det``) or
+    "none_within_bound" (with ``reason`` "exhausted" or "betti_mismatch").
+    As a namedtuple it also equals the plain tuple of its fields."""
+
+    __slots__ = ()
 
     @property
     def found(self) -> bool:

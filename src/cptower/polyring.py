@@ -19,7 +19,7 @@ decreases this order, which is what makes its reduction terminate.
 from __future__ import annotations
 
 import re
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 Monomial = tuple  # tuple[int, ...]
 

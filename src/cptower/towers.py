@@ -26,10 +26,10 @@ the tests compare the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
-from .polyring import Monomial, Poly, PolyJSONError, monomial_key
+from .polyring import Monomial, Poly, PolyJSONError, _parse_int, monomial_key
 
 
 class TowerSpecError(ValueError):
@@ -45,25 +45,25 @@ class DualityError(ArithmeticError):
 MAX_FIBER_DIM = 1_000
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(namedtuple("Stage", "fiber_dim chern")):
     """One projectivization step.
 
     ``fiber_dim`` is n_k (the fiber is CP^{n_k}); ``chern`` lists the
     n_k + 1 Chern classes c_1..c_(n_k+1) of the stage bundle, polynomials in
-    the k-1 earlier generators.
+    the k-1 earlier generators.  It also equals a plain tuple of its fields.
     """
 
-    fiber_dim: int
-    chern: tuple[Poly, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TowerSpec:
-    stages: tuple[Stage, ...]
+class TowerSpec(namedtuple("TowerSpec", "stages")):
+    """A tower's stages, checked on every path (``_make``, ``_replace``,
+    unpickling too); as a namedtuple it also equals ``(stages,)``."""
 
-    def __post_init__(self):
-        for idx, stage in enumerate(self.stages, start=1):
+    __slots__ = ()
+
+    def __new__(cls, stages):
+        for idx, stage in enumerate(stages, start=1):
             base_gens = idx - 1
             if stage.fiber_dim < 1:
                 raise TowerSpecError(
@@ -90,6 +90,10 @@ class TowerSpec:
                         f"stage {idx} chern entry {i} must be homogeneous of "
                         f"cohomological degree {2 * i}"
                     )
+        return super().__new__(cls, stages)
+
+    # namedtuple's _make, which _replace calls, would skip the checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def ngens(self) -> int:
@@ -491,8 +495,8 @@ def towerspec_from_json(data) -> TowerSpec:
         if "fiber_dim" not in raw:
             raise TowerSpecError(f"stage {idx}: missing fiber_dim")
         try:
-            n = int(raw["fiber_dim"])
-        except (TypeError, ValueError):
+            n = _parse_int(raw["fiber_dim"], "fiber_dim")
+        except ValueError:
             raise TowerSpecError(f"stage {idx}: fiber_dim must be an integer")
         chern_raw = raw.get("chern", [])
         if not isinstance(chern_raw, list):

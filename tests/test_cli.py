@@ -1,6 +1,7 @@
 """CLI surface: argument resolution, output shapes, exit codes."""
 
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from cptower import Poly, towerspec_to_json
+import cptower
+from cptower import Poly, chern, towerspec_to_json
 from cptower.catalog import cp_spec
 from cptower.towers import MAX_FIBER_DIM
 from cptower.cli import (
@@ -188,6 +190,16 @@ def test_oversized_fiber_in_a_tower_file_is_a_usage_error(
     code, out, err = run_cli(capsys, "iso", str(path), str(path))
     assert (code, out) == (2, "")
     assert err.strip() == "error: stage 1 fiber_dim 3 is above the limit of 2"
+
+
+def test_fractional_fiber_dim_in_a_tower_file_is_a_usage_error(
+    capsys, tmp_path
+):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"stages": [{"fiber_dim": 2.7, "chern": []}]}))
+    code, out, err = run_cli(capsys, "ring", str(path))
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: stage 1: fiber_dim must be an integer"
 
 
 def test_resolve_ring_arg_spellings():
@@ -599,6 +611,37 @@ def test_importing_the_cli_loads_no_pool_or_hashlib():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cold_import_loads_no_dataclasses_or_chern():
+    # without site-packages, as the stdlib-only CI job imports it;
+    # cptower.chern loads on first use of one of its names
+    src = Path(cptower.__file__).resolve().parents[1]
+    script = (
+        "import json, sys, cptower.cli\n"
+        "cold = sorted({'dataclasses', 'cptower.chern'} & set(sys.modules))\n"
+        "import cptower\n"
+        "lazy = cptower.BundleDescriptor\n"
+        "import cptower.chern\n"
+        "print(json.dumps([cold, lazy is cptower.chern.BundleDescriptor]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], True]
+
+
+def test_every_public_name_resolves():
+    namespace = {}
+    exec("from cptower import *", namespace)
+    assert [n for n in cptower.__all__ if n not in namespace] == []
+    assert cptower.whitney_sum_of_lines is chern.whitney_sum_of_lines
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        cptower.no_such_name
 
 
 @pytest.mark.skipif(

@@ -562,11 +562,21 @@ def test_towerspec_json_emits_strings():
             {"stages": [{"fiber_dim": "1", "chern": [[{"coeff": "0", "exps": []}], []]}]},
             "stage 1 chern entry 1: term 1: zero coefficient",
         ),
+        # int() would read 2.7 as a CP^2 stage and true as a CP^1 stage
+        ({"stages": [{"fiber_dim": 2.7}]}, "stage 1: fiber_dim must be an integer"),
+        ({"stages": [{"fiber_dim": True}]}, "stage 1: fiber_dim must be an integer"),
+        ({"stages": [{"fiber_dim": "x"}]}, "stage 1: fiber_dim must be an integer"),
     ],
 )
 def test_towerspec_from_json_rejects(data, message):
     with pytest.raises(TowerSpecError, match=message):
         towerspec_from_json(data)
+
+
+@pytest.mark.parametrize("value", [2, "2"])
+def test_towerspec_from_json_reads_an_integer_fiber_dim(value):
+    data = {"stages": [{"fiber_dim": value, "chern": [[], [], []]}]}
+    assert towerspec_from_json(data) == cp_spec(2)
 
 
 def test_towerspec_from_json_forward_reference():
