@@ -385,7 +385,7 @@ def _expected_row(a: FamilyId, b: FamilyId) -> tuple:
     """
     if a == b:
         return "coincident", None
-    if {str(a), str(b)} == {"GB2:1", "GB2:2"}:
+    if a.tag == b.tag == "GB2" and {a.params, b.params} == {(1,), (2,)}:
         return "coincident", "catalog-overcount"
     if a.tag == "M8" and b.tag == "M8" and a.params[1] == b.params[1]:
         return "coincident", "non-rigidity"
@@ -435,16 +435,15 @@ def _check_cached(
     pres_a: RingPresentation,
     pres_b: RingPresentation,
     bound: int,
-    series_agree: bool,
 ) -> None:
     """Raise ValueError unless every field of a cached verdict is one a
-    search at ``bound`` could have printed.
+    search at ``bound`` of a pair with equal Poincare series could have
+    printed (the cache holds no other pairs).
 
     A certificate must verify, carry its own determinant and stay inside
-    the bound.  A negative verdict must carry the requested bound and a
-    known reason, and say ``betti_mismatch`` exactly when the Poincare
-    series differ.  That a negative verdict was truly exhausted is not
-    re-checked: only a new search could.
+    the bound.  A negative verdict must carry the requested bound and say
+    ``exhausted``.  That it was truly exhausted is not re-checked: only a
+    new search could.
     """
     if verdict.found:
         if not verify(pres_a, pres_b, verdict.matrix):
@@ -456,10 +455,8 @@ def _check_cached(
         return
     if verdict.bound != bound:
         raise ValueError("cached verdict is for another bound")
-    if verdict.reason not in ("exhausted", "betti_mismatch"):
-        raise ValueError(f"unknown cached reason {verdict.reason!r}")
-    if (verdict.reason == "betti_mismatch") == series_agree:
-        raise ValueError("cached reason disagrees with the Poincare series")
+    if verdict.reason != "exhausted":
+        raise ValueError(f"cached reason {verdict.reason!r} is not exhausted")
 
 
 def _cache_key(
@@ -488,20 +485,21 @@ def _cached_search(
     """search() with an optional on-disk verdict cache, keyed by
     :func:`_cache_key`.
 
-    Every field of a cached verdict is checked before it is trusted (see
-    :func:`_check_cached`); an entry that fails, or cannot be read, is
-    recomputed and overwritten.  A failed cache write costs only a warning
-    on stderr, once per directory and process: the computed verdict is
-    still returned.
+    A pair whose Poincare series differ is decided before any file is
+    opened: its ``betti_mismatch`` verdict is returned with no cache read
+    or write, so the cache holds no such verdict.  Every field of a cached
+    verdict is checked before it is trusted (see :func:`_check_cached`);
+    an entry that fails, or cannot be read, is recomputed and overwritten.
+    A failed cache write costs only a warning on stderr, once per directory
+    and process: the computed verdict is still returned.
     """
-    if cache_dir is None:
+    if cache_dir is None or not _check_searchable(pres_a, pres_b, bound):
         return search(pres_a, pres_b, bound)
-    series_agree = _check_searchable(pres_a, pres_b, bound)
     path = os.path.join(cache_dir, f"{_cache_key(pres_a, pres_b, bound)}.json")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             verdict = SearchVerdict.from_json(json.load(fh), bound=bound)
-        _check_cached(verdict, pres_a, pres_b, bound, series_agree)
+        _check_cached(verdict, pres_a, pres_b, bound)
         return verdict
     except (OSError, ValueError, KeyError, TypeError):
         pass
@@ -557,11 +555,16 @@ def sweep_distinctness(
     # Target-major: rows with one target presentation run back to back, so
     # the search tables, keyed on it alone (isosearch._box_powers), are
     # built once per target.  Ids with equal presentations share one rank,
-    # as M8 ids differing only in alpha do.
+    # as M8 ids differing only in alpha do.  Each id is ranked and named
+    # once, targets first in plan order.
     rank: dict = {}
-    ranks = [
-        rank.setdefault(presentation_of(b), len(rank)) for _, b, *_ in plan
-    ]
+    rank_of: dict = {}
+    name: dict = {}
+    for fid in [b for _, b, *_ in plan] + [a for a, *_ in plan]:
+        if fid not in rank_of:
+            rank_of[fid] = rank.setdefault(presentation_of(fid), len(rank))
+            name[fid] = str(fid)
+    ranks = [rank_of[b] for _, b, *_ in plan]
     check_box(max(pres.ngens for pres in rank), bound)
     verdicts: list = [None] * len(plan)
     for i in sorted(range(len(plan)), key=ranks.__getitem__):
@@ -571,15 +574,15 @@ def sweep_distinctness(
     for (a, b, expected, flag, note), verdict in zip(plan, verdicts):
         found = verdict["result"] == "found"
         row = {
-            "a": str(a),
-            "b": str(b),
+            "a": name[a],
+            "b": name[b],
             "expected": expected,
             "verdict": verdict,
             "pass": found == (expected == "coincident"),
         }
         if flag:
             row["flag"] = flag
-        if a != b and presentation_of(a) == presentation_of(b):
+        if a != b and rank_of[a] == rank_of[b]:  # equal presentations
             note = "identical_presentations"
         if note:
             row["note"] = note

@@ -196,6 +196,12 @@ def _cmd_ring(args) -> int:
     return 0
 
 
+def _cache_dir() -> str | None:
+    """The verdict-cache directory named by ``CPT_CACHE_DIR``; unset and
+    empty both mean no cache."""
+    return os.environ.get("CPT_CACHE_DIR") or None
+
+
 def _cmd_iso(args) -> int:
     pres_a = _resolve_presentation(args.a)
     pres_b = _resolve_presentation(args.b)
@@ -210,9 +216,7 @@ def _cmd_iso(args) -> int:
             ],
         })
         return 0 if mats else 1
-    verdict = _cached_search(
-        pres_a, pres_b, args.bound, os.environ.get("CPT_CACHE_DIR")
-    )
+    verdict = _cached_search(pres_a, pres_b, args.bound, _cache_dir())
     _print_json({"schema": _SCHEMA, **verdict.to_json()})
     return 0 if verdict.found else 1
 
@@ -223,7 +227,7 @@ def _cmd_sweep(args) -> int:
         args.theorem,
         args.range,
         args.bound,
-        cache_dir=os.environ.get("CPT_CACHE_DIR"),
+        cache_dir=_cache_dir(),
     )
     report = {
         "schema": _SCHEMA,

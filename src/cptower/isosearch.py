@@ -30,7 +30,9 @@ engines directly.  Its work is split by what it depends on:
     has weight cap_d + 1, mentions only x_0..x_d and is checked at depth d.
     Equal Poincare series, which a search needs, give equal caps, so no
     source exponent passes max(caps) + 1 and the tables depend on the
-    target and the bound alone;
+    target and the bound alone.  Per source, each relation is split by the
+    powers of its last generator once (``_relation_splits``), and kept for
+    as long as the source presentation lives;
 (b) per prefix node: relation d, written sum_e x_d^e * P_e(x_0..x_(d-1)),
     has its prefix parts P_e evaluated once, and they fold into one dense
     integer matrix A and one target vector t such that the image at
@@ -52,6 +54,7 @@ substitutes and reduces directly and shares no code with the engine.
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
@@ -229,14 +232,33 @@ def _lincomb(n: int, terms) -> Iterator[int]:
     return acc
 
 
-def _split_relation(rel: Poly, depth: int) -> tuple:
-    """(weight, parts) for a homogeneous relation in x_0..x_depth: parts
-    pairs every exponent e of x_depth with the terms (coeff, exponents of
-    the earlier generators) that multiply its e-th power."""
+def _split_relation(rel: Poly, depth: int) -> list:
+    """The parts of a homogeneous relation in x_0..x_depth: every exponent
+    e of x_depth, ascending, paired with the terms (coeff, exponents of the
+    earlier generators) that multiply its e-th power."""
     parts: dict[int, list] = {}
     for mono, coeff in rel.sorted_terms(reverse=True):
         parts.setdefault(mono[depth], []).append((coeff, mono[:depth]))
-    return rel.homogeneous_weight(), sorted(parts.items())
+    return sorted(parts.items())
+
+
+# (weight, parts) of every relation, per source presentation; an entry dies
+# with its presentation, so nothing here outlives the presentations in use.
+_splits: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _relation_splits(pres: RingPresentation) -> list:
+    """(weight, parts) of relation k for each k: homogeneous relation k
+    leads with x_k^w, so it mentions only x_0..x_k and is checkable at
+    depth k.  Split once per presentation (equal presentations share
+    one)."""
+    splits = _splits.get(pres)
+    if splits is None:
+        splits = _splits[pres] = [
+            (w, _split_relation(rel, k))
+            for k, (w, rel) in enumerate(zip(pres.weights, pres.relations))
+        ]
+    return splits
 
 
 def _wedge(w: dict, col) -> dict:
@@ -295,8 +317,9 @@ class _BoxPowers:
     graded basis of its weight, laid end to end (L^e starts at
     ``offset[e]``).  E is max(caps) + 1, the largest exponent a searchable
     source relation holds; powers past the top weight are zero and are not
-    tabulated.  ``power`` slices L^e from the same coordinates transposed
-    once into one row per box column.
+    tabulated.  ``rows[idx]`` holds the same coordinates of box column
+    idx, so L^e is ``rows[idx][offset[e]:offset[e + 1]]``.  ``dims[w]`` is
+    the rank in weight w (0 above the top weight).
 
     ``index(a)`` is the image index of a folded matrix ``a``: the box
     indices sorted by their image under ``a``, packed into one exact
@@ -315,14 +338,18 @@ class _BoxPowers:
         self.bases = [
             pres_b.graded_basis(2 * w) for w in range(self.maxw + 1)
         ]
+        # and rank 0 one weight past the top, which a relation of the top
+        # cap reaches
+        self.dims = [len(basis) for basis in self.bases] + [0]
         self._reduce = pres_b._reduce_monomial
         self._products: dict = {}
+        self._folds: dict = {}
         top = max(pres_b.caps) + 1
         self.offset = [0, 0]
         for e in range(1, top + 1):
-            self.offset.append(self.offset[e] + self.dim(e))
+            self.offset.append(self.offset[e] + self.dims[e])
         self.values = self._tabulate_powers(top)
-        self._rows = list(zip(*self.values))  # per box column
+        self.rows = list(zip(*self.values))  # per box column
         # bound to the tables, not to self, so no reference cycle keeps
         # them alive
         self.index = lru_cache(
@@ -344,9 +371,6 @@ class _BoxPowers:
         lo = bisect_left(keys, key)
         return order[lo:bisect_right(keys, key, lo)]
 
-    def dim(self, w: int) -> int:
-        return len(self.bases[w]) if w <= self.maxw else 0
-
     def table(self, a: int, b: int) -> list:
         """``table[m][i]``: basis_a[m] * basis_b[i] reduced, as (index in
         basis_(a+b), coefficient) pairs; needs a + b <= maxw."""
@@ -364,10 +388,24 @@ class _BoxPowers:
             self._products[(a, b)] = table
         return table
 
+    def fold(self, a: int, e: int) -> list:
+        """``fold[m]``: the (row j, power coordinate p, coefficient) triples
+        of basis_a[m] * L^e, flattened from ``table(a, e)`` with p counted
+        from ``offset[e]``; needs a + e <= maxw."""
+        fold = self._folds.get((a, e))
+        if fold is None:
+            start = self.offset[e]
+            fold = self._folds[(a, e)] = [
+                [(j, start + i, c)
+                 for i, targets in enumerate(row) for j, c in targets]
+                for row in self.table(a, e)
+            ]
+        return fold
+
     def mul(self, u: list, a: int, v: list, b: int) -> list:
         """Product of a weight-a and a weight-b coordinate vector; needs
         a + b <= maxw."""
-        out = [0] * self.dim(a + b)
+        out = [0] * self.dims[a + b]
         table = self.table(a, b)
         for m, um in enumerate(u):
             if um:
@@ -383,10 +421,10 @@ class _BoxPowers:
         # L^1: the weight-1 basis is x_0, ..., x_(g-1) in this order
         values = [[col[k] for col in self.columns] for k in range(self.g)]
         for e in range(2, top + 1):
-            if not self.dim(e):
+            if not self.dims[e]:
                 break
             prev, first = self.offset[e - 1], self.offset[1]
-            terms: list[list] = [[] for _ in range(self.dim(e))]
+            terms: list[list] = [[] for _ in range(self.dims[e])]
             for m, row in enumerate(self.table(e - 1, 1)):
                 for i, targets in enumerate(row):
                     for j, c in targets:
@@ -395,10 +433,6 @@ class _BoxPowers:
                         )
             values.extend(list(_lincomb(n, t)) for t in terms)
         return values
-
-    def power(self, idx: int, e: int) -> tuple:
-        """L^e (e >= 1) of box column idx, in the weight-e basis."""
-        return self._rows[idx][self.offset[e]:self.offset[e] + self.dim(e)]
 
 
 @lru_cache(maxsize=1)
@@ -427,10 +461,16 @@ class _ColumnWalk:
 
     def __init__(self, pres_a: RingPresentation, tables: _BoxPowers):
         self.tables = tables
-        # homogeneous relation k leads with x_k^w, so it mentions only
-        # x_0..x_k and becomes checkable at depth k
+        dims = tables.dims
+        # per depth: the rank n of the relation's weight and, per part, the
+        # rank of the prefix part's weight and the fold of x_depth^e (none
+        # past the top weight, where the image is zero anyway)
         self.relations = [
-            _split_relation(rel, k) for k, rel in enumerate(pres_a.relations)
+            (dims[w], [
+                (dims[w - e], terms, tables.fold(w - e, e) if e else None)
+                for e, terms in parts
+            ] if dims[w] else [])
+            for w, parts in _relation_splits(pres_a)
         ]
 
     def node_rows(self, depth: int, cols: list) -> tuple:
@@ -438,33 +478,30 @@ class _ColumnWalk:
         indices) into (a, target): a dense tuple of rows over the power
         coordinates, and the image each row must have."""
         t = self.tables
-        w, parts = self.relations[depth]
-        n = t.dim(w)
+        n, parts = self.relations[depth]
         if not n:
             return (), ()  # past the top weight: the image is zero anyway
+        rows, offset = t.rows, t.offset
         const = [0] * n
         coeffs = [[0] * len(t.values) for _ in range(n)]
-        for e, terms in parts:
-            q = [0] * t.dim(w - e)  # the prefix part, evaluated
+        for size, terms, fold in parts:
+            q = [0] * size  # the prefix part, evaluated
             for coeff, exps in terms:
                 v, a = (1,), 0
                 for i, x in enumerate(exps):
                     if x:
-                        p = t.power(cols[i], x)
+                        p = rows[cols[i]][offset[x]:offset[x + 1]]  # L^x
                         v = t.mul(v, a, p, x) if a else p
                         a += x
                 for m, vm in enumerate(v):
                     q[m] += coeff * vm
-            if e == 0:
+            if fold is None:  # x_depth^0: the constant part
                 const = q
                 continue
-            table = t.table(w - e, e)
-            start = t.offset[e]
-            for m, qm in enumerate(q):
+            for qm, row in zip(q, fold):
                 if qm:
-                    for i, targets in enumerate(table[m]):
-                        for j, c in targets:
-                            coeffs[j][start + i] += qm * c
+                    for j, p, c in row:
+                        coeffs[j][p] += qm * c
         return tuple(map(tuple, coeffs)), tuple(-k for k in const)
 
     def walk(self, depth: int, cols: list, wedge: dict
@@ -499,11 +536,9 @@ def _search_matrices(
     rejects is an engine bug, raised as RuntimeError)."""
     if pres_a.ngens == 0:
         found = [((), 1)]  # the empty matrix
+    elif None in pres_a.weights or None in pres_b.weights:
+        raise IsoShapeError("search needs homogeneous relations")
     else:
-        for pres in (pres_a, pres_b):
-            if any(rel.homogeneous_weight() is None
-                   for rel in pres.relations):
-                raise IsoShapeError("search needs homogeneous relations")
         found = _ColumnWalk(pres_a, _box_powers(pres_b, bound)).walk(
             0, [], {0: 1}
         )

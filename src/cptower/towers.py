@@ -111,6 +111,8 @@ class RingPresentation:
     monomial basis is every exponent tuple below the caps and has
     prod(caps[k]+1) elements.  Instances are immutable (the only interior
     state is a memo table for monomial normal forms, which is a pure cache).
+    ``weights[k]`` is the common weight of relation k's terms, or None when
+    they are mixed (computed once, here).
 
     ``identity`` is the presentation's canonical identity: the caps and each
     relation's terms in sorted order, as nested tuples of ints.  Two
@@ -147,6 +149,7 @@ class RingPresentation:
         self.caps = caps
         self.relations = relations
         self.ngens = g
+        self.weights = tuple(rel.homogeneous_weight() for rel in relations)
         self._tails = tails
         self.identity = (
             caps,

@@ -1,7 +1,10 @@
 """Shared builders for the test suite."""
 
+from pathlib import Path
+
 from cptower import FamilyId, Poly, Stage, TowerSpec, presentation, presentation_of
-from cptower.catalog import cp_spec, hirzebruch_spec
+from cptower.catalog import _cache_key, cp_spec, hirzebruch_spec
+from cptower.cli import _resolve_presentation
 
 
 def cp(n: int):
@@ -28,9 +31,17 @@ def pres(text: str):
     return presentation_of(FamilyId.parse(text))
 
 
+def cache_entry_path(directory, a: str, b: str, bound: int) -> Path:
+    """Where the verdict cache in ``directory`` keeps the entry of the
+    towers ``a`` and ``b`` (``cpt`` arguments) at ``bound``."""
+    key = _cache_key(_resolve_presentation(a), _resolve_presentation(b), bound)
+    return Path(directory) / f"{key}.json"
+
+
 # Verdict-cache entries with fields edited so that no search at the bound
 # could have printed them: (a, b, bound, edits merged into the entry's JSON).
-# The towers are spelled as ``cpt`` arguments.
+# The towers are spelled as ``cpt`` arguments.  A pair whose Poincare series
+# differ has no entry at all: one planted for it is never read or rewritten.
 TAMPERED_CACHE_ENTRIES = [
     ("GB2:1", "GB2:2", 2, {"det": "7"}),  # the matrix has det -1
     # a certificate that verifies, with an entry outside the bound

@@ -1,6 +1,7 @@
 """Family catalog: ids, canonical lists, recorded coincidences, sweeps."""
 
 import json
+import weakref
 from collections import Counter
 
 import pytest
@@ -30,7 +31,7 @@ from cptower.catalog import (
 )
 from cptower.cli import resolve_ring_arg
 from cptower.towers import MAX_FIBER_DIM, RingPresentation
-from conftest import TAMPERED_CACHE_ENTRIES, fam, pres
+from conftest import TAMPERED_CACHE_ENTRIES, cache_entry_path, fam, pres
 
 
 # -- family ids -------------------------------------------------------------
@@ -362,6 +363,40 @@ def test_sweep_builds_each_target_table_once(monkeypatch):
     assert built == Counter(dict.fromkeys(targets, 1))
 
 
+def test_sweep_derives_source_data_once_per_presentation(monkeypatch):
+    # a source's relation splits are made once per distinct presentation
+    # (M8 ids differing only in alpha share one), and each relation's
+    # homogeneity weight once, however many rows search it
+    splits = []
+    weights = Counter()
+    split, weight = isosearch._split_relation, Poly.homogeneous_weight
+
+    def counting_split(rel, depth):
+        splits.append(depth)
+        return split(rel, depth)
+
+    def counting_weight(self):
+        weights[id(self)] += 1
+        return weight(self)
+
+    monkeypatch.setattr(isosearch, "_split_relation", counting_split)
+    monkeypatch.setattr(Poly, "homogeneous_weight", counting_weight)
+    monkeypatch.setattr(isosearch, "_splits", weakref.WeakKeyDictionary())
+    presentation_of.cache_clear()  # rebuilt, so their weights are counted
+    try:
+        report = sweep_distinctness("eight-dim", 2, 2)
+        plan = _plan_rows("eight-dim", 2)
+        sources = {presentation_of(a) for a, *_ in plan}
+    finally:
+        presentation_of.cache_clear()
+    assert report["summary"]["failures"] == "0"
+    assert len(plan) == 120 and len(sources) == 10
+    assert sorted(splits) == sorted([0, 1] * len(sources))
+    # one presentation, of two relations, per family id
+    assert len(weights) == 2 * len({f for row in plan for f in row[:2]})
+    assert set(weights.values()) == {1}
+
+
 def test_sweep_builds_each_image_index_once(monkeypatch):
     # per target, every folded matrix A met by the walk gets its index built
     # once; later nodes with the same A only look it up
@@ -458,10 +493,29 @@ def test_cached_search_distrusts_tampered_certificates(tmp_path):
 
 
 @pytest.mark.parametrize("a, b, bound, edits", TAMPERED_CACHE_ENTRIES)
-def test_cached_search_recomputes_tampered_fields(tmp_path, a, b, bound, edits):
+def test_cached_search_recomputes_tampered_fields(
+    tmp_path, monkeypatch, a, b, bound, edits
+):
     pres_a = presentation(resolve_ring_arg(a))
     pres_b = presentation(resolve_ring_arg(b))
     fresh = search(pres_a, pres_b, bound).to_json()
+    if pres_a.poincare() != pres_b.poincare():
+        # decided before the cache: a planted entry is never read or rewritten
+        cache_file = cache_entry_path(tmp_path, a, b, bound)
+        cache_file.write_text(json.dumps({**fresh, **edits}))
+        before = (cache_file.read_bytes(), cache_file.stat().st_ino)
+        opened = []
+
+        def spying_open(path, *args, **kwargs):
+            opened.append(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(catalog, "open", spying_open, raising=False)
+        again = _cached_search(pres_a, pres_b, bound, str(tmp_path))
+        assert again.to_json() == fresh and opened == []
+        assert list(tmp_path.iterdir()) == [cache_file]
+        assert (cache_file.read_bytes(), cache_file.stat().st_ino) == before
+        return
     _cached_search(pres_a, pres_b, bound, str(tmp_path))
     (cache_file,) = tmp_path.iterdir()
     assert json.loads(cache_file.read_text()) == fresh
@@ -473,9 +527,7 @@ def test_cached_search_recomputes_tampered_fields(tmp_path, a, b, bound, edits):
 
 
 def test_cached_search_keeps_honest_entries(tmp_path):
-    for i, (a, b) in enumerate(
-        [("GB2:1", "GB2:2"), ("Eta2:1,2", "Eta2:1,-2"), ("Eta2:0,0", "M8:0,0")]
-    ):
+    for i, (a, b) in enumerate([("GB2:1", "GB2:2"), ("Eta2:1,2", "Eta2:1,-2")]):
         cache_dir = tmp_path / str(i)
         first = _cached_search(pres(a), pres(b), 2, str(cache_dir))
         (cache_file,) = cache_dir.iterdir()
@@ -483,6 +535,17 @@ def test_cached_search_keeps_honest_entries(tmp_path):
         again = _cached_search(pres(a), pres(b), 2, str(cache_dir))
         assert again == first
         assert (cache_file.read_bytes(), cache_file.stat().st_ino) == before
+
+
+def test_betti_mismatch_pairs_bypass_the_cache(tmp_path):
+    # equal generator counts, different Poincare series: the verdict is a
+    # proof with no cache I/O, so the directory is not even created
+    cache_dir = tmp_path / "cache"
+    for a, b in (("Eta2:0,0", "M8:0,0"), ("M8:0,0", "Eta2:0,0")):
+        verdict = _cached_search(pres(a), pres(b), 2, str(cache_dir))
+        assert verdict == search(pres(a), pres(b), 2)
+        assert verdict.reason == "betti_mismatch"
+    assert not cache_dir.exists()
 
 
 def test_cached_search_reads_no_presentation_json(tmp_path, monkeypatch):

@@ -21,7 +21,7 @@ from cptower.cli import (
     parse_poly_text,
     resolve_ring_arg,
 )
-from conftest import TAMPERED_CACHE_ENTRIES
+from conftest import TAMPERED_CACHE_ENTRIES, cache_entry_path
 
 
 def run_cli(capsys, *argv):
@@ -270,6 +270,24 @@ def test_iso_uses_cache_env(capsys, tmp_path, monkeypatch):
     assert (code2, payload2) == (code1, payload1)
 
 
+@pytest.mark.parametrize("argv", [
+    ("iso", "Eta2:0,1", "Eta2:0,2", "--bound", "2"),
+    ("sweep", "--theorem", "three-stage", "--range", "0", "--bound", "2"),
+])
+def test_empty_cache_env_means_no_cache(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    # an unwritable directory warns once per process: forget earlier ones
+    monkeypatch.setattr(cptower.catalog, "_unwritable_cache_dirs", set())
+    monkeypatch.delenv("CPT_CACHE_DIR", raising=False)
+    code, out, err = run_cli(capsys, *argv)
+    monkeypatch.setenv("CPT_CACHE_DIR", "")
+    code_empty, out_empty, err_empty = run_cli(capsys, *argv)
+    assert (code_empty, err_empty) == (code, err) == (code, "")
+    strip = re.compile(r'"elapsed_seconds": "[0-9.]+"')
+    assert strip.sub("", out_empty) == strip.sub("", out)
+    assert list(tmp_path.iterdir()) == []  # nothing cached in the cwd
+
+
 def test_iso_survives_an_unwritable_cache(capsys, tmp_path, monkeypatch):
     not_a_dir = tmp_path / "cache"
     not_a_dir.write_text("a regular file")
@@ -292,6 +310,15 @@ def test_iso_recomputes_tampered_cache_entries(
     fresh = run_cli(capsys, *argv)
     monkeypatch.setenv("CPT_CACHE_DIR", str(tmp_path))
     assert run_cli(capsys, *argv) == fresh
+    if json.loads(fresh[1]).get("reason") == "betti_mismatch":
+        # decided before the cache: a planted entry is never read or rewritten
+        assert list(tmp_path.iterdir()) == []
+        cache_file = cache_entry_path(tmp_path, a, b, bound)
+        cache_file.write_text(json.dumps({**json.loads(fresh[1]), **edits}))
+        before = (cache_file.read_bytes(), cache_file.stat().st_ino)
+        assert run_cli(capsys, *argv) == fresh
+        assert (cache_file.read_bytes(), cache_file.stat().st_ino) == before
+        return
     (cache_file,) = tmp_path.iterdir()
     entry = json.loads(cache_file.read_text())
     cache_file.write_text(json.dumps({**entry, **edits}))
