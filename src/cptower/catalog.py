@@ -501,7 +501,7 @@ def _cached_search(
             verdict = SearchVerdict.from_json(json.load(fh), bound=bound)
         _check_cached(verdict, pres_a, pres_b, bound)
         return verdict
-    except (OSError, ValueError, KeyError, TypeError):
+    except (OSError, ValueError, KeyError, TypeError, RecursionError):
         pass
     verdict = search(pres_a, pres_b, bound)
     tmp = f"{path}.tmp{os.getpid()}"
@@ -520,18 +520,12 @@ def _cached_search(
 
 
 def _sweep_worker(args: tuple) -> dict:
-    """The verdict JSON of one sweep row, from (a, b, bound, cache_dir)."""
+    """The verdict JSON of one sweep row, from (a, b, bound, cache_dir):
+    the same decision, by the same call, as ``cpt iso a b``."""
     a, b, bound, cache_dir = args
-    pres_a, pres_b = presentation_of(a), presentation_of(b)
-    # Cross-shape pairs (different generator counts) are legitimate sweep
-    # rows but outside search()'s precondition; their Poincare vectors
-    # always differ, so short-circuit them here.
-    if pres_a.poincare() != pres_b.poincare():
-        verdict = SearchVerdict(
-            "none_within_bound", None, None, bound, "betti_mismatch"
-        )
-        return verdict.to_json()
-    return _cached_search(pres_a, pres_b, bound, cache_dir).to_json()
+    return _cached_search(
+        presentation_of(a), presentation_of(b), bound, cache_dir
+    ).to_json()
 
 
 def sweep_distinctness(

@@ -10,9 +10,10 @@ degree-2 lattice onto itself by a unimodular matrix is surjective because
 the rings are generated in degree 2, and a graded surjection between free
 graded rings of equal finite rank per degree is injective as well.
 
-A ``none_within_bound`` verdict is exactly what it says -- *bounded*
-non-existence over entries in [-B, B] -- and is deliberately weaker than a
-non-isomorphism proof.  Reports should label it "bounded non-existence".
+A ``none_within_bound`` verdict's reason says how strong it is:
+``betti_mismatch`` (different Poincare series) is a proof at every bound,
+while ``exhausted`` is only *bounded* non-existence over entries in [-B, B].
+Reports should label the latter "bounded non-existence".
 
 Enumeration order is part of the contract: matrices are tried in
 lexicographic order of the column-major flattened entry vector, entries
@@ -75,7 +76,8 @@ class IsoShapeError(ValueError):
 
 class SearchVerdict(namedtuple("SearchVerdict", "result matrix det bound reason")):
     """``result`` is "found" (with ``matrix`` and its ``det``) or
-    "none_within_bound" (with ``reason`` "exhausted" or "betti_mismatch").
+    "none_within_bound" with ``reason`` "betti_mismatch" (a proof, at any
+    bound) or "exhausted" (bounded only).  Only :func:`search` decides.
     As a namedtuple it also equals the plain tuple of its fields."""
 
     __slots__ = ()
@@ -146,9 +148,10 @@ def images_from_matrix(pres_b: RingPresentation, rows: Matrix) -> list[Poly]:
 def verify(pres_a: RingPresentation, pres_b: RingPresentation, rows) -> bool:
     """Check a certificate the slow, direct way (substitute and reduce).
 
-    Raises :class:`IsoShapeError` for mismatched generator counts or a
-    wrongly shaped matrix; returns False for a Poincare mismatch, which is
-    a legitimate "trivially non-isomorphic" signal rather than a bug.
+    Raises :class:`IsoShapeError` for a wrongly shaped matrix, and for
+    mismatched generator counts, where no g x g matrix fits both rings;
+    returns False for a Poincare mismatch, which is a legitimate
+    "trivially non-isomorphic" signal rather than a bug.
     """
     g = pres_a.ngens
     if pres_b.ngens != g:
@@ -555,14 +558,13 @@ def _check_searchable(pres_a: RingPresentation, pres_b: RingPresentation,
     """Refuse a search outside the engine's preconditions; otherwise say
     whether the Poincare series agree.  When they differ no
     degree-preserving unimodular map exists at any bound, so every search
-    entry point short-circuits on False."""
-    if pres_a.ngens != pres_b.ngens:
-        raise IsoShapeError(
-            f"generator counts differ: {pres_a.ngens} vs {pres_b.ngens}"
-        )
+    entry point short-circuits on False.  Every cap is at least 1, so the
+    degree-2 rank is the generator count and different counts always give
+    False; the box is checked on the larger count, so an oversized request
+    is refused whatever the pair."""
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    check_box(pres_a.ngens, bound)
+    check_box(max(pres_a.ngens, pres_b.ngens), bound)
     return pres_a.poincare() == pres_b.poincare()
 
 
@@ -571,8 +573,10 @@ def search(
 ) -> SearchVerdict:
     """First certificate in the contract order, or bounded non-existence.
 
-    A Poincare mismatch short-circuits: no degree-preserving unimodular
-    map can exist at any bound, and the verdict says so via its reason.
+    The one place a pair is decided.  A Poincare mismatch (different
+    generator counts included) short-circuits: no degree-preserving
+    unimodular map can exist at any bound, and the verdict says so via its
+    reason, ``betti_mismatch``, a proof.
     """
     if not _check_searchable(pres_a, pres_b, bound):
         return SearchVerdict(

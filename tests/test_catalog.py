@@ -479,6 +479,16 @@ def test_cached_search_ignores_corrupt_entries(tmp_path):
     assert again.to_json() == first.to_json()
 
 
+def test_cached_search_survives_a_too_deeply_nested_entry(tmp_path):
+    # json.load raises RecursionError here, not ValueError
+    a, b = pres("GB2:1"), pres("GB2:2")
+    fresh = search(a, b, 2)
+    cache_file = cache_entry_path(tmp_path, "GB2:1", "GB2:2", 2)
+    cache_file.write_text("[" * 100_000 + "]" * 100_000)
+    assert _cached_search(a, b, 2, str(tmp_path)) == fresh
+    assert json.loads(cache_file.read_text()) == fresh.to_json()  # overwritten
+
+
 def test_cached_search_distrusts_tampered_certificates(tmp_path):
     a, b = pres("GB2:1"), pres("GB2:2")
     honest = _cached_search(a, b, 1, str(tmp_path))

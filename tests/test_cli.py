@@ -12,7 +12,7 @@ import pytest
 
 import cptower
 from cptower import Poly, chern, towerspec_to_json
-from cptower.catalog import cp_spec
+from cptower.catalog import cp_spec, sweep_distinctness
 from cptower.towers import MAX_FIBER_DIM
 from cptower.cli import (
     _build_parser,
@@ -239,10 +239,45 @@ def test_iso_betti_mismatch(capsys):
     assert payload["reason"] == "betti_mismatch"
 
 
-def test_iso_shape_error_exits_2(capsys):
-    code, out, err = run_cli(capsys, "iso", "CP3", "GB2:1")
-    assert code == 2
-    assert err.strip() == "error: generator counts differ: 1 vs 2"
+def test_iso_generator_count_mismatch_exits_1(capsys, tmp_path, monkeypatch):
+    # different generator counts mean different Poincare series: a proof,
+    # decided by search() before the cache is consulted
+    monkeypatch.setenv("CPT_CACHE_DIR", str(tmp_path / "cache"))
+    code, payload, err = run_json(capsys, "iso", "CP3", "GB2:1")
+    assert (code, err) == (1, "")
+    assert payload == {
+        "schema": "cpt/1",
+        "result": "none_within_bound",
+        "bound": "3",
+        "reason": "betti_mismatch",
+    }
+    code, payload, _ = run_json(capsys, "iso", "CP3", "GB2:1", "--all")
+    assert code == 1
+    assert payload["count"] == "0" and payload["matrices"] == []
+    assert not (tmp_path / "cache").exists()  # no cache file written
+
+
+def test_iso_cross_shape_box_is_still_refused(capsys):
+    # the box is checked on the larger generator count, before any table
+    code, out, err = run_cli(
+        capsys, "iso", "CP3", "Zeta3:0,0,0", "--bound", "23"
+    )
+    assert (code, out) == (2, "")
+    assert "box of 103823 columns" in err
+
+
+def test_iso_agrees_with_every_sweep_row(capsys):
+    # a sweep row is exactly the cpt iso verdict, cross-shape rows included
+    rows = sweep_distinctness("main", 1, 2)["rows"]
+    assert len(rows) == 192
+    assert any(row["verdict"].get("reason") == "betti_mismatch" for row in rows)
+    for row in rows:
+        code, out, err = run_cli(
+            capsys, "iso", row["a"], row["b"], "--bound", "2"
+        )
+        assert json.loads(out) == {"schema": "cpt/1", **row["verdict"]}, row
+        assert code == (0 if row["verdict"]["result"] == "found" else 1)
+        assert err == ""
 
 
 def test_iso_all(capsys):
