@@ -16,7 +16,6 @@ from .towers import (
     Stage,
     TowerSpec,
     TowerSpecError,
-    dense_multiplication_table,
     matrix_det,
     presentation,
     towerspec_from_json,
@@ -29,7 +28,6 @@ from .isosearch import (
     invert_unimodular,
     search,
     search_all,
-    search_all_reference,
     verify,
 )
 from .catalog import (
@@ -60,7 +58,6 @@ __all__ = [
     "RingPresentation",
     "DualityError",
     "presentation",
-    "dense_multiplication_table",
     "matrix_det",
     "towerspec_from_json",
     "towerspec_to_json",
@@ -70,14 +67,12 @@ __all__ = [
     "whitney_sum_of_lines",
     "normalize_c1",
     "dual_complement_of_tautological",
-    "splitting_oracle_tensor",
     "projectivize",
     "IsoShapeError",
     "SearchVerdict",
     "verify",
     "search",
     "search_all",
-    "search_all_reference",
     "invert_unimodular",
     "compose",
     "FamilyId",
@@ -100,8 +95,7 @@ __all__ = [
 # sweep needs it.
 _CHERN_NAMES = frozenset({
     "BundleDescriptor", "BundleError", "dual_complement_of_tautological",
-    "normalize_c1", "projectivize", "splitting_oracle_tensor",
-    "tensor_line", "whitney_sum_of_lines",
+    "normalize_c1", "projectivize", "tensor_line", "whitney_sum_of_lines",
 })
 
 

@@ -3,9 +3,8 @@
 Everything here manipulates Chern classes as reduced polynomials over a base
 presentation: Whitney sums of line bundles, twisting a rank-2 bundle by a
 line bundle, the mod-2 normalization of c_1, and the hyperplane-complement
-construction behind the Milnor hypersurfaces.  A small splitting-principle
-expansion is included purely as an independent oracle for the twist
-formulas; the tests play the two against each other on random inputs.
+construction behind the Milnor hypersurfaces.  The tests check the twist
+formulas against an independent splitting-principle expansion.
 """
 
 from __future__ import annotations
@@ -198,50 +197,6 @@ def dual_complement_of_tautological(i: int, j: int) -> TowerSpec:
         chern.append(Poly(1, {(q,): 1}) if q <= i else Poly.zero(1))
     fiber_stage = Stage(fiber_dim=j - 1, chern=tuple(chern))
     return TowerSpec(stages=(base_stage, fiber_stage))
-
-
-def splitting_oracle_tensor() -> tuple[Poly, Poly]:
-    """Splitting-principle derivation of the rank-2 twist formulas.
-
-    Works in an auxiliary ring with formal line roots t1, t2 and twist s:
-    expands (1 + t1 + s)(1 + t2 + s), then rewrites the degree-1 and
-    degree-2 parts in terms of e1 = t1 + t2, e2 = t1 t2 and s by generic
-    symmetric reduction (nothing here knows the closed-form answers).
-    Returns (c1, c2) as polynomials in the variables (e1, e2, s).
-    """
-    t1 = Poly.variable(3, 0)
-    t2 = Poly.variable(3, 1)
-    s = Poly.variable(3, 2)
-    one = Poly.constant(3, 1)
-    total = (one + t1 + s) * (one + t2 + s)
-    deg1 = Poly(3, {m: c for m, c in total.terms.items() if sum(m) == 1})
-    deg2 = Poly(3, {m: c for m, c in total.terms.items() if sum(m) == 2})
-    return _symmetric_reduce(deg1), _symmetric_reduce(deg2)
-
-
-def _symmetric_reduce(p: Poly) -> Poly:
-    """Rewrite a polynomial in (t1, t2, s), symmetric in t1 <-> t2, as a
-    polynomial in (e1, e2, s) (same variable slots reused in that order).
-
-    Classic elimination: repeatedly take the largest remaining t-monomial
-    t1^a t2^b s^c (a >= b for the largest one, by symmetry), emit
-    e1^(a-b) e2^b s^c, and subtract its expansion.  Terminates because the
-    subtracted expansion only contains smaller monomials.
-    """
-    t1 = Poly.variable(3, 0)
-    t2 = Poly.variable(3, 1)
-    remaining = p
-    out: dict[Monomial, int] = {}
-    while remaining:
-        (a, b, c), coeff = remaining.leading()
-        if a < b:
-            a, b = b, a
-        out_mono = (a - b, b, c)
-        out[out_mono] = out.get(out_mono, 0) + coeff
-        expansion = (t1 + t2) ** (a - b) * (t1 * t2) ** b
-        expansion = expansion * Poly(3, {(0, 0, c): coeff})
-        remaining = remaining - expansion
-    return Poly(3, out)
 
 
 def projectivize(base_spec: TowerSpec, xi: BundleDescriptor) -> TowerSpec:

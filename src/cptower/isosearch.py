@@ -21,7 +21,7 @@ running -B..B, so runs are reproducible bit for bit.  The engine places
 whole columns left to right, each drawn from the box of (2B+1)^g candidate
 columns (a box above ``MAX_BOX_COLUMNS`` is refused up front).  It skips no
 certificate, so the first matrix it finds is the one the plain flat
-enumeration (``search_all_reference``) finds; the tests compare the two
+enumeration of the whole entry box finds; the tests compare the two
 engines directly.  Its work is split by what it depends on:
 
 (a) per target, shared by consecutive searches: the powers L_c, L_c^2, ...
@@ -35,12 +35,14 @@ engines directly.  Its work is split by what it depends on:
     powers of its last generator once (``_relation_splits``), and kept for
     as long as the source presentation lives;
 (b) per prefix node: relation d, written sum_e x_d^e * P_e(x_0..x_(d-1)),
-    has its prefix parts P_e evaluated once, and they fold into one dense
-    integer matrix A and one target vector t such that the image at
-    candidate c vanishes exactly when A (L_c, L_c^2, ...) = t.  The same A
-    recurs at many nodes, so each target keeps an index per A that sorts
-    the box columns by their image, packed into one exact integer; a node's
-    surviving columns are one lookup of t, at every depth.  Each node also
+    has its prefix parts P_e evaluated once, to values q_e.  They fold into
+    one dense integer matrix A and one target vector t such that the image
+    at candidate c vanishes exactly when A (L_c, L_c^2, ...) = t.  The same
+    A recurs at many nodes, so each target keeps an index per A that sorts
+    the box columns by their image, packed into one exact integer.  The
+    index is keyed by the node's non-zero q_e, e >= 1, which fix A, so A is
+    built only when its index is; a node's surviving columns are one
+    lookup of t, at every depth.  Each node also
     carries the exterior product of its placed columns (``_wedge``: every
     maximal minor, keyed by its row set); a candidate that empties it makes
     the placed columns linearly dependent, so every completion has det 0
@@ -61,7 +63,7 @@ from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from functools import lru_cache, partial
 from itertools import product, repeat
-from operator import add, mul
+from operator import add, mul, neg
 
 from .polyring import Poly
 from .towers import RingPresentation, matrix_det
@@ -310,6 +312,37 @@ def _image_index(values: list, peaks: list, a: tuple) -> tuple:
     return limits, radix, list(map(images.__getitem__, order)), order
 
 
+def _node_index(values: list, peaks: list, folds: dict, key: tuple) -> tuple:
+    """The image index of the folded matrix A that a node key (n, ((a, e),
+    q), ...) names: A has n rows over the power coordinates, and each part
+    adds the prefix values q times its fold ``folds[(a, e)]`` (see
+    ``_BoxPowers.fold``)."""
+    n, *parts = key
+    mat = [[0] * len(values) for _ in range(n)]
+    for part, q in parts:
+        for qm, row in zip(q, folds[part]):
+            if qm:
+                for j, p, c in row:
+                    mat[j][p] += qm * c
+    return _image_index(values, peaks, tuple(map(tuple, mat)))
+
+
+def _survivors(index: tuple, target: tuple) -> Sequence[int]:
+    """Box indices idx, ascending, whose image under the folded matrix A of
+    ``index`` (an :func:`_image_index`) is ``target``: sum_p A[j][p] *
+    values[p][idx] == target[j] for every row j.  The target is packed
+    once every digit is within its limit (a digit out of reach could alias
+    another image), and looked up by bisection."""
+    limits, radix, keys, order = index
+    packed = 0
+    for t, limit in zip(reversed(target), reversed(limits)):
+        if abs(t) > limit:
+            return ()  # out of reach, and its packing would alias
+        packed = packed * radix + t
+    lo = bisect_left(keys, packed)
+    return order[lo:bisect_right(keys, packed, lo)]
+
+
 class _BoxPowers:
     """The target-side tables of a search: the box columns, their power
     vectors and the image indexes.  They depend only on (target, bound), so
@@ -324,14 +357,21 @@ class _BoxPowers:
     idx, so L^e is ``rows[idx][offset[e]:offset[e + 1]]``.  ``dims[w]`` is
     the rank in weight w (0 above the top weight).
 
-    ``index(a)`` is the image index of a folded matrix ``a``: the box
-    indices sorted by their image under ``a``, packed into one exact
-    integer (see :func:`_image_index`).  ``survivors`` packs a target the
-    same way, once every digit is within its limit (a digit out of reach
-    could alias another image), and looks it up.  ``index`` is an LRU of
-    MAX_BOX_COLUMNS // len(columns) indexes (at least one), so at most
-    MAX_BOX_COLUMNS columns are indexed per target; its ``cache_info()``
-    counts index builds (misses) and lookups of a built index (hits).
+    ``index(key)`` is the image index of the folded matrix A a walk node's
+    key names (``_ColumnWalk.node_rows``): the box indices sorted by their
+    image under A, packed into one exact integer (see :func:`_image_index`
+    and :func:`_survivors`).  The key is (n, ((a, e), q), ...), n the rank
+    of the relation's weight and q the non-zero prefix values of each part
+    x_d^e with e >= 1, a the weight of q.  A is built from ``fold(a, e)``
+    only when the key misses.  A key fixes A; conversely, for one relation
+    weight, different keys give different A, as the blocks for different e
+    fill disjoint columns of A and below the top weight multiplying by a
+    non-zero class q is injective (Poincare duality, the ring being
+    generated in degree 2), so keying by q costs no extra builds.
+    ``index`` is an LRU of MAX_BOX_COLUMNS // len(columns) indexes (at
+    least one), so at most MAX_BOX_COLUMNS columns are indexed per target;
+    its ``cache_info()`` counts index builds (misses) and lookups of a
+    built index (hits).
     """
 
     def __init__(self, pres_b: RingPresentation, bound: int):
@@ -358,21 +398,9 @@ class _BoxPowers:
         self.index = lru_cache(
             maxsize=max(1, MAX_BOX_COLUMNS // len(self.columns))
         )(partial(
-            _image_index, self.values, [max(map(abs, v)) for v in self.values]
+            _node_index, self.values,
+            [max(map(abs, v)) for v in self.values], self._folds,
         ))
-
-    def survivors(self, a: tuple, target: tuple) -> Sequence[int]:
-        """Box indices idx, ascending, whose image under the folded matrix
-        ``a`` is ``target``: sum_p a[j][p] * values[p][idx] == target[j] for
-        every row j.  One lookup (a bisection) in the index of ``a``."""
-        limits, radix, keys, order = self.index(a)
-        key = 0
-        for t, limit in zip(reversed(target), reversed(limits)):
-            if abs(t) > limit:
-                return ()  # out of reach, and its packing would alias
-            key = key * radix + t
-        lo = bisect_left(keys, key)
-        return order[lo:bisect_right(keys, key, lo)]
 
     def table(self, a: int, b: int) -> list:
         """``table[m][i]``: basis_a[m] * basis_b[i] reduced, as (index in
@@ -451,10 +479,13 @@ class _ColumnWalk:
     by consecutive searches.
 
     At a prefix node, the source relation of that depth folds into a dense
-    matrix ``a`` and a vector ``target``: its image at candidate idx is zero
-    exactly when sum(a[j][p] * values[p][idx] for p) == target[j] for every
-    row j.  The candidates passing are one index lookup
-    (``_BoxPowers.survivors``), ascending, so the contract order holds.
+    matrix A and a vector ``target``: its image at candidate idx is zero
+    exactly when sum(A[j][p] * values[p][idx] for p) == target[j] for every
+    row j.  A is named by a short key of the node's prefix values
+    (``node_rows``), so a node whose A is indexed already costs one hash of
+    that key; A itself is built only for a key the target has not indexed
+    (``_BoxPowers.index``).  The candidates passing are one lookup
+    (``_survivors``), ascending, so the contract order holds.
 
     ``walk`` carries the wedge of the placed columns (``_wedge``), from
     ``{0: 1}``: a survivor that empties it is dependent and is skipped.
@@ -466,28 +497,29 @@ class _ColumnWalk:
         self.tables = tables
         dims = tables.dims
         # per depth: the rank n of the relation's weight and, per part, the
-        # rank of the prefix part's weight and the fold of x_depth^e (none
-        # past the top weight, where the image is zero anyway)
-        self.relations = [
-            (dims[w], [
-                (dims[w - e], terms, tables.fold(w - e, e) if e else None)
-                for e, terms in parts
-            ] if dims[w] else [])
-            for w, parts in _relation_splits(pres_a)
-        ]
+        # rank of the prefix part's weight and the fold (a, e) of x_depth^e
+        # (None for e = 0; no parts past the top weight, where the image is
+        # zero anyway).  The folds are made here for the index builds.
+        self.relations = []
+        for w, parts in _relation_splits(pres_a):
+            keyed = []
+            for e, terms in parts if dims[w] else ():
+                if e:
+                    tables.fold(w - e, e)
+                keyed.append((dims[w - e], terms, (w - e, e) if e else None))
+            self.relations.append((dims[w], keyed))
 
     def node_rows(self, depth: int, cols: list) -> tuple:
-        """Relation ``depth`` folded over the prefix columns ``cols`` (box
-        indices) into (a, target): a dense tuple of rows over the power
-        coordinates, and the image each row must have."""
+        """Relation ``depth`` at the prefix columns ``cols`` (box indices),
+        as (key, target): the key (n, ((w - e, e), q), ...) of its folded
+        matrix A, with q the evaluated prefix part of each x_depth^e, e >=
+        1, that is non-zero (see ``_BoxPowers``), and the image each of the
+        n rows of A must have."""
         t = self.tables
         n, parts = self.relations[depth]
-        if not n:
-            return (), ()  # past the top weight: the image is zero anyway
         rows, offset = t.rows, t.offset
-        const = [0] * n
-        coeffs = [[0] * len(t.values) for _ in range(n)]
-        for size, terms, fold in parts:
+        key, target = [n], (0,) * n
+        for size, terms, part in parts:
             q = [0] * size  # the prefix part, evaluated
             for coeff, exps in terms:
                 v, a = (1,), 0
@@ -498,19 +530,17 @@ class _ColumnWalk:
                         a += x
                 for m, vm in enumerate(v):
                     q[m] += coeff * vm
-            if fold is None:  # x_depth^0: the constant part
-                const = q
-                continue
-            for qm, row in zip(q, fold):
-                if qm:
-                    for j, p, c in row:
-                        coeffs[j][p] += qm * c
-        return tuple(map(tuple, coeffs)), tuple(-k for k in const)
+            if part is None:  # x_depth^0: the constant part
+                target = tuple(map(neg, q))
+            elif any(q):
+                key.append((part, tuple(q)))
+        return tuple(key), target
 
     def walk(self, depth: int, cols: list, wedge: dict
              ) -> Iterator[tuple[Matrix, int]]:
         columns, g = self.tables.columns, self.tables.g
-        hits = self.tables.survivors(*self.node_rows(depth, cols))
+        key, target = self.node_rows(depth, cols)
+        hits = _survivors(self.tables.index(key), target)
         if depth < g - 1:
             for idx in hits:
                 grown = _wedge(wedge, columns[idx])
@@ -595,21 +625,3 @@ def search_all(
         return []
     return [rows for rows, _det in _search_matrices(pres_a, pres_b, bound)]
 
-
-def search_all_reference(
-    pres_a: RingPresentation, pres_b: RingPresentation, bound: int = 3
-) -> list[Matrix]:
-    """Unpruned reference engine: enumerate the whole flattened entry box
-    and keep each matrix :func:`verify` accepts.  Exists to pin the pruned
-    engine's enumeration order and acceptance predicate; use only on small
-    cases.
-    """
-    if not _check_searchable(pres_a, pres_b, bound):
-        return []
-    g = pres_a.ngens
-    # column-major flattening: column k occupies flat[k*g : (k+1)*g]
-    matrices = (
-        tuple(tuple(flat[k * g + i] for k in range(g)) for i in range(g))
-        for flat in product(range(-bound, bound + 1), repeat=g * g)
-    )
-    return [rows for rows in matrices if verify(pres_a, pres_b, rows)]

@@ -19,9 +19,8 @@ rewrite strictly decreases the monomial order of :mod:`cptower.polyring`
 (the tail involves lower powers of x_k and earlier generators only), so the
 process terminates; and because the leading monomials x_k^(n_k+1) are powers
 of pairwise distinct variables, the rewriting system is confluent -- the
-normal form does not depend on the rewrite order.  ``dense_multiplication_
-table`` below re-derives products with a deliberately different strategy and
-the tests compare the two.
+normal form does not depend on the rewrite order; the tests re-derive
+products with a deliberately different strategy and compare the two.
 """
 
 from __future__ import annotations
@@ -197,8 +196,8 @@ class RingPresentation:
         """Normal form of a single monomial as a term dict.
 
         Rewrites the highest offending generator first; by confluence (see
-        module docstring) any choice gives the same answer, and the dense
-        oracle below double-checks that in the tests.
+        module docstring) any choice gives the same answer, and a dense
+        oracle in the tests double-checks that.
         """
         memo = self._nf_memo
         done = memo.get(mono)
@@ -363,62 +362,6 @@ def _restrict(p: Poly, nvars: int) -> Poly:
             raise ValueError("polynomial uses generators beyond the restriction")
         terms[mono[:nvars]] = coeff
     return Poly(nvars, terms)
-
-
-# -- independent dense oracle ---------------------------------------------
-
-
-def dense_multiplication_table(pres: RingPresentation) -> dict:
-    """Full basis-times-basis multiplication table, derived independently.
-
-    This deliberately avoids ``normal_form``: it reduces with the *smallest*
-    offending monomial first, keeps no memo table, and walks the generators
-    bottom-up.  Intended for towers of small total rank (the tests use it up
-    to rank 8) as a cross-check that the rewriting strategy does not matter.
-    Returns {(i, j): coefficient tuple over the basis} with i, j indexing
-    the full basis in canonical order.
-    """
-    basis = pres.graded_basis_all()
-    index = {m: i for i, m in enumerate(basis)}
-    table = {}
-    for i, bi in enumerate(basis):
-        for j, bj in enumerate(basis):
-            prod = {tuple(a + b for a, b in zip(bi, bj)): 1}
-            reduced = _reduce_smallest_first(pres, prod)
-            vec = [0] * len(basis)
-            for mono, coeff in reduced.items():
-                vec[index[mono]] = coeff
-            table[(i, j)] = tuple(vec)
-    return table
-
-
-def _reduce_smallest_first(pres: RingPresentation, terms: dict) -> dict:
-    current = dict(terms)
-    while True:
-        offending = [
-            m
-            for m in current
-            if any(e > cap for e, cap in zip(m, pres.caps))
-        ]
-        if not offending:
-            return current
-        mono = min(offending, key=monomial_key)
-        coeff = current.pop(mono)
-        # rewrite the *lowest* offending generator, unlike normal_form
-        k = next(
-            idx
-            for idx in range(pres.ngens)
-            if mono[idx] > pres.caps[idx]
-        )
-        rest = list(mono)
-        rest[k] -= pres.caps[k] + 1
-        for tail_mono, tail_coeff in pres._tails[k]:
-            m = tuple(r + t for r, t in zip(rest, tail_mono))
-            v = current.get(m, 0) - coeff * tail_coeff
-            if v:
-                current[m] = v
-            else:
-                current.pop(m, None)
 
 
 # -- integer determinants --------------------------------------------------

@@ -26,14 +26,13 @@ from cptower import (
     matrix_det,
     presentation_of,
     search,
-    search_all_reference,
-    splitting_oracle_tensor,
     sweep_distinctness,
     tensor_line,
     verify,
 )
 from cptower.chern import BundleDescriptor
 from conftest import cp, hirzebruch, pres
+from oracles import search_all_reference, splitting_oracle_tensor
 
 
 def _emit(capsys, n: int, ok: bool, started: float, budget: str) -> None:

@@ -14,13 +14,13 @@ from cptower import (
     normalize_c1,
     presentation,
     projectivize,
-    splitting_oracle_tensor,
     tensor_line,
     whitney_sum_of_lines,
 )
 from cptower import chern
 from cptower.towers import MAX_FIBER_DIM
 from conftest import cp, cp_spec, hirzebruch
+from oracles import splitting_oracle_tensor
 
 
 def x_poly(coeff=1, power=1):

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cptower import (
@@ -21,7 +21,6 @@ from cptower import (
     presentation_of,
     search,
     search_all,
-    search_all_reference,
     verify,
 )
 from cptower import isosearch
@@ -31,10 +30,13 @@ from cptower.isosearch import (
     _box_powers,
     _BoxPowers,
     _ColumnWalk,
+    _image_index,
+    _survivors,
     _wedge,
     images_from_matrix,
 )
 from conftest import cp, hirzebruch, pres, trivial_tower
+from oracles import node_survivors_by_substitution, search_all_reference
 
 
 # -- SearchVerdict serialization -------------------------------------------
@@ -293,9 +295,51 @@ def test_index_lookup_filters_the_box(g, bound, data):
         shifted[j] += radix
         shifted[j + 1] -= 1
         targets.append(tuple(shifted))
+    index = _image_index(values, peaks, a)
     for target in targets:
-        assert list(tables.survivors(a, target)) == brute(target)
-    assert tables.survivors(a, reached)  # the drawn column itself
+        assert list(_survivors(index, target)) == brute(target)
+    assert _survivors(index, reached)  # the drawn column itself
+
+
+# rings for search nodes, with relations at every depth and weight
+_NODE_RINGS = {
+    1: lambda: [cp(1), cp(2), cp(3)],
+    2: lambda: [hirzebruch(0), hirzebruch(1), hirzebruch(-2),
+                trivial_tower(3, 1), trivial_tower(1, 3)] + [
+        pres(f) for f in ("GB2:0", "GB2:1", "GB2:2", "Eta2:0,0", "Eta2:1,-2",
+                          "Eta2:1,1", "M8:0,2", "M8:0,1", "N8:1")
+    ],
+    3: lambda: [pres(f) for f in ("Zeta3:1,0,2", "Zeta3:0,1,2",
+                                  "Zeta3:1,1,-1", "Xi3:0,0,0")],
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 2), st.data())
+def test_node_survivors_match_substitution(g, bound, data):
+    # a node's survivors, from its key's index and its target, are exactly
+    # the box columns that substitution and normal_form say send source
+    # relation `depth` to zero, for a random independent prefix; the oracle
+    # uses no fold table
+    rings = _NODE_RINGS[g]()
+    pa = data.draw(st.sampled_from(rings))
+    # a searchable pair: the target has the source's Poincare series
+    pb = data.draw(st.sampled_from(
+        [r for r in rings if r.poincare() == pa.poincare()]
+    ))
+    tables = _BoxPowers(pb, bound)
+    walk = _ColumnWalk(pa, tables)
+    depth = data.draw(st.integers(0, g - 1))
+    prefix, wedge = [], {0: 1}
+    for _ in range(depth):
+        idx = data.draw(st.integers(0, len(tables.columns) - 1))
+        wedge = _wedge(wedge, tables.columns[idx])
+        assume(wedge)
+        prefix.append(idx)
+    key, target = walk.node_rows(depth, prefix)
+    assert list(_survivors(tables.index(key), target)) == (
+        node_survivors_by_substitution(pa, pb, bound, prefix)
+    )
 
 
 def _rank(cols):

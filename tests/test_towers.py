@@ -13,7 +13,6 @@ from cptower import (
     Stage,
     TowerSpec,
     TowerSpecError,
-    dense_multiplication_table,
     matrix_det,
     presentation,
     towerspec_from_json,
@@ -22,6 +21,7 @@ from cptower import (
 from cptower.catalog import THEOREMS, _cache_key, build, families_for_theorem
 from cptower.towers import MAX_FIBER_DIM, _restrict
 from conftest import cp, cp_spec, hirzebruch, hirzebruch_spec, trivial_tower
+from oracles import dense_multiplication_table
 
 
 def eta_spec(s: int, a: int) -> TowerSpec:
