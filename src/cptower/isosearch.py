@@ -38,11 +38,16 @@ engines directly.  Its work is split by what it depends on:
     has its prefix parts P_e evaluated once, to values q_e.  They fold into
     one dense integer matrix A and one target vector t such that the image
     at candidate c vanishes exactly when A (L_c, L_c^2, ...) = t.  The same
-    A recurs at many nodes, so each target keeps an index per A that sorts
-    the box columns by their image, packed into one exact integer.  The
-    index is keyed by the node's non-zero q_e, e >= 1, which fix A, so A is
-    built only when its index is; a node's surviving columns are one
-    lookup of t, at every depth.  Each node also
+    A recurs at many nodes, so each target keeps an index per A that lists
+    the box columns in the order of their image, packed into one exact
+    integer.  It is built for all columns at once: the target also keeps
+    its power values as big integers with one lane of bits per box column
+    (``_Lanes``), so a few big-integer products put every column's packed
+    image and box index in its lane, and one plain sort of the lanes
+    orders them (``_image_index``).  The index is keyed by the node's
+    non-zero q_e, e >= 1, which fix A, so A is built only when its index
+    is; a node's surviving columns are one lookup of t, at every depth.
+    Each node also
     carries the exterior product of its placed columns (``_wedge``: every
     maximal minor, keyed by its row set); a candidate that empties it makes
     the placed columns linearly dependent, so every completion has det 0
@@ -57,13 +62,15 @@ substitutes and reduces directly and shares no code with the engine.
 
 from __future__ import annotations
 
+import sys
 import weakref
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from functools import lru_cache, partial
 from itertools import product, repeat
-from operator import add, mul, neg
+from operator import add, and_, mul, neg, rshift, sub
 
 from .polyring import Poly
 from .towers import RingPresentation, matrix_det
@@ -287,44 +294,147 @@ def _wedge(w: dict, col) -> dict:
     return out
 
 
-def _image_index(values: list, peaks: list, a: tuple) -> tuple:
+# Lane item sizes in bytes, narrowest first, each with a native signed
+# typecode of that size; its upper case is the unsigned one.  Sizes are
+# read from ``array``, as the size of 'i' or 'l' differs between
+# platforms.  A lane wider than the widest item spans several of its words.
+_LANE_CODES = {array(code).itemsize: code for code in "bhilq"}
+_LANE_SIZES = sorted(_LANE_CODES)
+
+
+def _lane_size(bits: int) -> int:
+    """Bytes per lane for lanes of ``bits`` bits: the narrowest item that
+    holds them, else a multiple of the widest."""
+    for size in _LANE_SIZES:
+        if 8 * size >= bits:
+            return size
+    word = _LANE_SIZES[-1]
+    return -(-bits // (8 * word)) * word
+
+
+def _pack(ints, size: int) -> int:
+    """sum_k ints[k] * 2^(8 size pos(k)), each 0 <= ints[k] < 2^(8 size):
+    the lanes laid end to end in native byte order, so pos(k) is k on a
+    little-endian host and the reverse on a big-endian one."""
+    code = _LANE_CODES.get(size)
+    if code:
+        data = array(code.upper(), ints).tobytes()
+    else:
+        data = b"".join(map(int.to_bytes, ints, repeat(size),
+                            repeat(sys.byteorder)))
+    return int.from_bytes(data, sys.byteorder)
+
+
+def _unpack(packed: int, n: int, size: int) -> list:
+    """The n lanes of ``packed``, laid out as :func:`_pack` lays them, in
+    position order, each read as a two's complement integer."""
+    data = packed.to_bytes(n * size, sys.byteorder)
+    code = _LANE_CODES.get(size)
+    if code:
+        return memoryview(data).cast(code).tolist()
+    return [int.from_bytes(data[i:i + size], sys.byteorder, signed=True)
+            for i in range(0, len(data), size)]
+
+
+class _Lanes:
+    """The box's power values as big integers with one lane per box
+    column, made on first use per lane size S bytes (W = 8S bits).  With
+    pos = pos(idx) as in :func:`_pack`, ``ones(S)`` is (R, I, M) =
+    (sum_idx 2^(W pos), sum_idx idx * 2^(W pos), 2^(W - 1) * R), and
+    ``coordinate(S, p)`` is B_p = sum_idx values[p][idx] * 2^(W pos).  B_p
+    is packed from the values less their minimum, so its lanes must hold
+    the spread of coordinate p; every lane width an index that weights p
+    uses does (see :func:`_image_index`).  Holds no reference to the
+    tables, so an index bound to it forms no cycle."""
+
+    __slots__ = ("values", "_made")
+
+    def __init__(self, values: list):
+        self.values = values
+        self._made: dict = {}
+
+    def ones(self, size: int) -> tuple:
+        made = self._made.get(size)
+        if made is None:
+            n = len(self.values[0])
+            ones = _pack(repeat(1, n), size)
+            made = self._made[size] = (
+                ones, _pack(range(n), size), ones << 8 * size - 1
+            )
+        return made
+
+    def coordinate(self, size: int, p: int) -> int:
+        made = self._made.get((size, p))
+        if made is None:
+            values = self.values[p]
+            low = min(values)
+            made = self._made[size, p] = (
+                _pack(map(sub, values, repeat(low)), size)
+                + low * self.ones(size)[0]
+            )
+        return made
+
+
+def _image_index(lanes: _Lanes, peaks: list, a: tuple) -> tuple:
     """(limits, radix, keys, order): the image index of the folded matrix
     ``a`` over the box.
 
     Row j of the image of box column idx is sum_p a[j][p] * values[p][idx],
     which lies in [-limits[j], limits[j]] with limits[j] = sum_p |a[j][p]| *
     peaks[p].  With radix = 2 * max(limits) + 1 the image packs exactly into
-    the integer sum_j radix^j * image_j.  ``order`` lists the box indices by
-    packed image, ascending indices within one image (the sort is stable),
-    and ``keys`` the packed images in that order, so the columns with one
-    image are a slice found by bisection.  Sorting runs in C, which makes a
-    build cheaper than grouping the columns into a dict one by one.
+    the integer sum_j radix^j * image_j, of absolute value at most mid =
+    radix^n // 2.  ``order`` lists the box indices by packed image,
+    ascending indices within one image, and ``keys`` the packed images in
+    that order, so the columns with one image are a slice found by
+    bisection.
+
+    All columns are packed at once, in one lane of W bits each: with s =
+    (columns - 1).bit_length() and w_p = sum_j a[j][p] * radix^j, the lane
+    of column idx in T = (sum_p w_p * B_p << s) + I (B_p, R, I and M are
+    the ``lanes``) is v = packed image << s | idx, a signed value.  W
+    holds mid << s | (columns - 1) and a sign bit, so every v + 2^(W - 1)
+    lies in [0, 2^W): T + M has no lane borrowing from the next, and
+    (T + M) ^ M clears the added bit again, leaving each v in two's
+    complement.  Its lanes, read back and plainly sorted, give ``keys``
+    (v >> s) and ``order`` (v's low s bits).  A coordinate p with w_p != 0
+    has 2 * peaks[p] < radix <= 2^W, so its values fit their lanes too.
     """
     limits = [sum(abs(x) * m for x, m in zip(row, peaks)) for row in a]
     radix = 2 * max(limits, default=0) + 1
-    weights = [0] * len(values)
+    weights = [0] * len(peaks)
     for row in reversed(a):
         weights = [w * radix + x for w, x in zip(weights, row)]
-    images = list(_lincomb(
-        len(values[0]), ((w, values[p]) for p, w in enumerate(weights) if w)
-    ))
-    order = sorted(range(len(images)), key=images.__getitem__)  # stable
-    return limits, radix, list(map(images.__getitem__, order)), order
+    n = len(lanes.values[0])
+    shift = (n - 1).bit_length()
+    bits = (radix ** len(a) // 2 << shift | n - 1).bit_length() + 1
+    size = _lane_size(bits)
+    _, indices, signs = lanes.ones(size)
+    total = 0
+    for p, w in enumerate(weights):
+        if w:
+            total += w * lanes.coordinate(size, p)
+    packed = _unpack(((total << shift) + indices + signs) ^ signs, n, size)
+    packed.sort()
+    return (
+        limits, radix,
+        list(map(rshift, packed, repeat(shift))),
+        list(map(and_, packed, repeat((1 << shift) - 1))),
+    )
 
 
-def _node_index(values: list, peaks: list, folds: dict, key: tuple) -> tuple:
+def _node_index(lanes: _Lanes, peaks: list, folds: dict, key: tuple) -> tuple:
     """The image index of the folded matrix A that a node key (n, ((a, e),
     q), ...) names: A has n rows over the power coordinates, and each part
     adds the prefix values q times its fold ``folds[(a, e)]`` (see
     ``_BoxPowers.fold``)."""
     n, *parts = key
-    mat = [[0] * len(values) for _ in range(n)]
+    mat = [[0] * len(peaks) for _ in range(n)]
     for part, q in parts:
         for qm, row in zip(q, folds[part]):
             if qm:
                 for j, p, c in row:
                     mat[j][p] += qm * c
-    return _image_index(values, peaks, tuple(map(tuple, mat)))
+    return _image_index(lanes, peaks, tuple(map(tuple, mat)))
 
 
 def _survivors(index: tuple, target: tuple) -> Sequence[int]:
@@ -357,10 +467,15 @@ class _BoxPowers:
     idx, so L^e is ``rows[idx][offset[e]:offset[e + 1]]``.  ``dims[w]`` is
     the rank in weight w (0 above the top weight).
 
+    ``lanes`` holds the same values packed into big integers, one lane of
+    bits per box column (:class:`_Lanes`), made on first use: per lane
+    width in use, one integer of len(columns) lanes per coordinate an
+    index weights.
     ``index(key)`` is the image index of the folded matrix A a walk node's
     key names (``_ColumnWalk.node_rows``): the box indices sorted by their
-    image under A, packed into one exact integer (see :func:`_image_index`
-    and :func:`_survivors`).  The key is (n, ((a, e), q), ...), n the rank
+    image under A, packed into one exact integer and computed for all
+    columns at once in the lanes (see :func:`_image_index` and
+    :func:`_survivors`).  The key is (n, ((a, e), q), ...), n the rank
     of the relation's weight and q the non-zero prefix values of each part
     x_d^e with e >= 1, a the weight of q.  A is built from ``fold(a, e)``
     only when the key misses.  A key fixes A; conversely, for one relation
@@ -393,12 +508,13 @@ class _BoxPowers:
             self.offset.append(self.offset[e] + self.dims[e])
         self.values = self._tabulate_powers(top)
         self.rows = list(zip(*self.values))  # per box column
-        # bound to the tables, not to self, so no reference cycle keeps
-        # them alive
+        self.lanes = _Lanes(self.values)
+        # bound to the tables' parts, not to self, so no reference cycle
+        # keeps them alive
         self.index = lru_cache(
             maxsize=max(1, MAX_BOX_COLUMNS // len(self.columns))
         )(partial(
-            _node_index, self.values,
+            _node_index, self.lanes,
             [max(map(abs, v)) for v in self.values], self._folds,
         ))
 

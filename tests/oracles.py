@@ -5,7 +5,8 @@ with the path it checks, so a fault in the package cannot be "fixed" in
 the oracle together with it.  Use them only on small cases.
 """
 
-from itertools import product
+from itertools import product, repeat
+from operator import add
 
 from cptower import Poly, RingPresentation, verify
 from cptower.isosearch import _check_searchable
@@ -64,6 +65,40 @@ def node_survivors_by_substitution(
             rel.substitute(head + [linear(col)] + tail)
         ).is_zero()
     ]
+
+
+def image_index_reference(values: list, peaks: list, a: tuple) -> tuple:
+    """(limits, radix, keys, order): the image index of the folded matrix
+    ``a`` over the box, built column by column.
+
+    Row j of the image of box column idx is sum_p a[j][p] * values[p][idx],
+    which lies in [-limits[j], limits[j]] with limits[j] = sum_p |a[j][p]| *
+    peaks[p].  With radix = 2 * max(limits) + 1 the image packs exactly into
+    the integer sum_j radix^j * image_j.  ``order`` lists the box indices by
+    packed image, ascending indices within one image (the sort is stable),
+    and ``keys`` the packed images in that order.
+    """
+    limits = [sum(abs(x) * m for x, m in zip(row, peaks)) for row in a]
+    radix = 2 * max(limits, default=0) + 1
+    weights = [0] * len(values)
+    for row in reversed(a):
+        weights = [w * radix + x for w, x in zip(weights, row)]
+    images = list(_lincomb(
+        len(values[0]), ((w, values[p]) for p, w in enumerate(weights) if w)
+    ))
+    order = sorted(range(len(images)), key=images.__getitem__)  # stable
+    return limits, radix, list(map(images.__getitem__, order)), order
+
+
+def _lincomb(n: int, terms):
+    """Entrywise sum of coeff * values over the (coeff, values) pairs, each
+    values of length n, lazily."""
+    acc = repeat(0, n)
+    for coeff, values in terms:
+        if coeff != 1:
+            values = map(coeff.__mul__, values)
+        acc = map(add, acc, values)
+    return acc
 
 
 # -- ring multiplication ----------------------------------------------------

@@ -1,5 +1,6 @@
 """Family catalog: ids, canonical lists, recorded coincidences, sweeps."""
 
+import hashlib
 import json
 import weakref
 from collections import Counter
@@ -395,6 +396,20 @@ def test_sweep_derives_source_data_once_per_presentation(monkeypatch):
     # one presentation, of two relations, per family id
     assert len(weights) == 2 * len({f for row in plan for f in row[:2]})
     assert set(weights.values()) == {1}
+
+
+@pytest.mark.parametrize("theorem, n, digest", [
+    ("main", 2,
+     "f82d1cffcff6c85789ebe0c693ca9f56e5685ad562ae808de67b15731868a120"),
+    ("two-stage", 3,
+     "6ac5fb9858f2bef3e66a8a41f0f15e32bd90f196a14b7c49366927d19ce4b711"),
+])
+def test_sweep_report_is_pinned(theorem, n, digest):
+    # the rows and summary of a bound-3 sweep are pinned byte for byte,
+    # key order included: a change to the engine must reproduce them
+    report = sweep_distinctness(theorem, n, 3)
+    text = json.dumps({"rows": report["rows"], "summary": report["summary"]})
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_sweep_builds_each_image_index_once(monkeypatch):

@@ -3,7 +3,9 @@
 import gc
 import itertools
 import random
+from array import array
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -36,7 +38,11 @@ from cptower.isosearch import (
     images_from_matrix,
 )
 from conftest import cp, hirzebruch, pres, trivial_tower
-from oracles import node_survivors_by_substitution, search_all_reference
+from oracles import (
+    image_index_reference,
+    node_survivors_by_substitution,
+    search_all_reference,
+)
 
 
 # -- SearchVerdict serialization -------------------------------------------
@@ -295,10 +301,103 @@ def test_index_lookup_filters_the_box(g, bound, data):
         shifted[j] += radix
         shifted[j + 1] -= 1
         targets.append(tuple(shifted))
-    index = _image_index(values, peaks, a)
+    index = _image_index(tables.lanes, peaks, a)
     for target in targets:
         assert list(_survivors(index, target)) == brute(target)
     assert _survivors(index, reached)  # the drawn column itself
+
+
+# lane widths in bits, (lo, hi]: one per native item size, narrowest first,
+# then two spans of lanes of several words
+_ITEM_BITS = sorted({8 * array(code).itemsize for code in "BHILQ"})
+_LANE_WIDTHS = list(zip([0] + _ITEM_BITS, _ITEM_BITS)) + [
+    (_ITEM_BITS[-1], 2 * _ITEM_BITS[-1]),
+    (2 * _ITEM_BITS[-1], 5 * _ITEM_BITS[-1]),
+]
+
+
+@cache
+def _lane_box(name: str, bound: int) -> tuple:
+    """(values, lanes) of a box; kept without its tables, which other tests
+    count."""
+    ring = {"CP1": lambda: cp(1), "CP3": lambda: cp(3), "CP70": lambda: cp(70)}
+    tables = _BoxPowers(ring[name]() if name in ring else pres(name), bound)
+    return tables.values, tables.lanes
+
+
+# one column (bound 0, s = 0); a g = 1 ring of high cap, whose power values
+# pass 2^64; boxes of 3 to 343 columns
+_LANE_BOXES = [("CP1", 0), ("CP3", 1), ("CP70", 2), ("Eta2:1,-2", 2),
+               ("Zeta3:1,1,2", 3)]
+
+
+@pytest.mark.parametrize("lo, hi", _LANE_WIDTHS)
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_lane_index_matches_the_reference(lo, hi, data):
+    # the lane build gives exactly the reference build's index, with its
+    # lanes drawn in (lo, hi] bits; lookups agree with brute force, also on
+    # targets that alias under the packing
+    narrowest = lo == 0
+
+    def lane_bits(a, values, peaks):
+        # a sign bit, then the packed image (|image| <= radix^n // 2) and
+        # the box index
+        limits = [sum(abs(x) * m for x, m in zip(row, peaks)) for row in a]
+        mid = (2 * max(limits, default=0) + 1) ** len(a) // 2
+        n = len(values[0])
+        return 1 + (mid << (n - 1).bit_length() | n - 1).bit_length()
+
+    name, bound = data.draw(st.sampled_from(
+        [box for box in _LANE_BOXES if narrowest or box[1]]
+    ))
+    values, lanes = _lane_box(name, bound)
+    n = len(values[0])
+    peaks = [max(abs(v) for v in vs) for vs in values]
+    # entries only where a unit entry leaves room in the lanes
+    room = [p for p, m in enumerate(peaks)
+            if m and lane_bits(((0,) * p + (1,),), values, peaks) <= hi]
+    assume(room or narrowest)
+    rows = data.draw(st.integers(0 if narrowest else 1, 3)) if room else 0
+    a = []
+    for _ in range(rows):
+        row = [0] * len(values)
+        for p, x in data.draw(st.lists(st.tuples(
+            st.sampled_from(room), st.integers(-3, 3),
+        ), max_size=3)):
+            row[p] = x
+        a.append(row)
+    if not narrowest:
+        # one entry to grow: scale by powers of 2 until the lanes pass lo
+        # bits; a step adds at most rows + 1 <= 4 bits, so they stop
+        # inside a window of 8 or more
+        a[0][data.draw(st.sampled_from(room))] = data.draw(
+            st.sampled_from([-1, 1]))
+        while lane_bits(a, values, peaks) <= lo:
+            a = [[2 * x for x in row] for row in a]
+    a = tuple(map(tuple, a))
+    assume(lane_bits(a, values, peaks) <= hi)
+
+    index = _image_index(lanes, peaks, a)
+    assert index == image_index_reference(values, peaks, a)
+    radix = index[1]
+
+    images = [tuple(sum(x * values[p][idx] for p, x in enumerate(row) if x)
+                    for row in a) for idx in range(n)]
+    reached = images[data.draw(st.integers(0, n - 1))]
+    targets = [
+        reached,
+        tuple(data.draw(st.integers(-radix, radix)) for _ in a),
+    ]
+    for j in range(len(a) - 1):  # radix at digit j == 1 at digit j + 1
+        shifted = list(reached)
+        shifted[j] += radix
+        shifted[j + 1] -= 1
+        targets.append(tuple(shifted))
+    for target in targets:
+        assert list(_survivors(index, target)) == [
+            idx for idx, image in enumerate(images) if image == target
+        ]
 
 
 # rings for search nodes, with relations at every depth and weight
