@@ -13,6 +13,9 @@ the sweep reports and the fixtures:
                Z_2 bundle tag and never shows up in the ring presentation
   N8:u         P(rank-2 bundle with c = (x, u*x^2)) over CP^3
 
+Each family is one ``_FAMILIES`` entry: a builder that adds the family's
+last stage to a base tower, whose parameter count is the family's arity.
+
 ``canonical_families`` lists one id per 6-dimensional ring-isomorphism
 class (with recorded exceptions the sweep flags rather than hides);
 ``coincidence_fixtures`` freezes an explicit certificate for every recorded
@@ -47,16 +50,6 @@ from .towers import (
     presentation,
 )
 
-_ARITY = {
-    "CP3": 0,
-    "GB2": 1,
-    "Eta2": 2,
-    "Zeta3": 3,
-    "Xi3": 3,
-    "M8": 2,
-    "N8": 1,
-}
-
 THEOREMS = ("main", "two-stage", "three-stage", "eight-dim")
 
 
@@ -67,19 +60,19 @@ def _tool_version() -> str:
 
 
 class FamilyId(namedtuple("FamilyId", "tag params")):
-    """A catalog family: a tag of ``_ARITY`` and its integer parameters,
+    """A catalog family: a tag of ``_FAMILIES`` and its integer parameters,
     checked on every path (``_make``, ``_replace``, unpickling too).  As a
     namedtuple it also equals the plain tuple ``(tag, params)``."""
 
     __slots__ = ()
 
     def __new__(cls, tag: str, params: tuple = ()):
-        if tag not in _ARITY:
+        if tag not in _FAMILIES:
             raise ValueError(f"unknown family tag {tag!r}")
-        if len(params) != _ARITY[tag]:
+        arity = _FAMILIES[tag].__code__.co_argcount
+        if len(params) != arity:
             raise ValueError(
-                f"family {tag} takes {_ARITY[tag]} parameter(s), "
-                f"got {len(params)}"
+                f"family {tag} takes {arity} parameter(s), got {len(params)}"
             )
         return super().__new__(cls, tag, tuple(int(p) for p in params))
 
@@ -128,57 +121,38 @@ def hirzebruch_spec(k: int) -> TowerSpec:
     ))
 
 
+# The bases every family adds its stage to, built once.
+_CP1, _CP2, _CP3 = cp_spec(1), cp_spec(2), cp_spec(3)
+_H0, _H1 = hirzebruch_spec(0), hirzebruch_spec(1)
+
+
+def _over(base: TowerSpec, fiber_dim: int, *chern: Poly) -> TowerSpec:
+    """``base`` with one more stage: a CP^fiber_dim bundle of Chern classes
+    ``chern``."""
+    return TowerSpec(base.stages + (Stage(fiber_dim, chern),))
+
+
+# Each family's builder, from its integer parameters; the builder's own
+# parameter count is the family's arity (FamilyId reads it).
+_FAMILIES = {
+    "CP3": lambda: _CP3,
+    "GB2": lambda k: _over(_CP1, 2, Poly(1, {(1,): k}), *_zeros(1, 2)),
+    "Eta2": lambda s, a: _over(
+        _CP2, 1, Poly(1, {(1,): s}), Poly(1, {(2,): a})),
+    "Zeta3": lambda s, r, a: _over(
+        _H0, 1, Poly(2, {(1, 0): s, (0, 1): r}), Poly(2, {(1, 1): a})),
+    "Xi3": lambda s, r, b: _over(
+        _H1, 1, Poly(2, {(1, 0): s, (0, 1): r}), Poly(2, {(1, 1): b})),
+    "M8": lambda alpha, u: _over(
+        _CP3, 1, Poly.zero(1), Poly(1, {(2,): u})),
+    "N8": lambda u: _over(_CP3, 1, Poly.variable(1, 0), Poly(1, {(2,): u})),
+}
+
+
 def build(fid: FamilyId) -> TowerSpec:
     """Tower spec for a family id (any integer parameters; the canonical
     parameter domains only matter for list membership, not construction)."""
-    tag, p = fid.tag, fid.params
-    if tag == "CP3":
-        return cp_spec(3)
-    if tag == "GB2":
-        (k,) = p
-        return TowerSpec((
-            Stage(1, _zeros(0, 2)),
-            Stage(2, (Poly(1, {(1,): k}), Poly.zero(1), Poly.zero(1))),
-        ))
-    if tag == "Eta2":
-        s, a = p
-        return TowerSpec((
-            Stage(2, _zeros(0, 3)),
-            Stage(1, (Poly(1, {(1,): s}), Poly(1, {(2,): a}))),
-        ))
-    if tag == "Zeta3":
-        s, r, a = p
-        return TowerSpec((
-            Stage(1, _zeros(0, 2)),
-            Stage(1, _zeros(1, 2)),
-            Stage(1, (
-                Poly(2, {(1, 0): s, (0, 1): r}),
-                Poly(2, {(1, 1): a}),
-            )),
-        ))
-    if tag == "Xi3":
-        s, r, b = p
-        return TowerSpec((
-            Stage(1, _zeros(0, 2)),
-            Stage(1, (Poly.variable(1, 0), Poly.zero(1))),
-            Stage(1, (
-                Poly(2, {(1, 0): s, (0, 1): r}),
-                Poly(2, {(1, 1): b}),
-            )),
-        ))
-    if tag == "M8":
-        _alpha, u = p
-        return TowerSpec((
-            Stage(3, _zeros(0, 4)),
-            Stage(1, (Poly.zero(1), Poly(1, {(2,): u}))),
-        ))
-    if tag == "N8":
-        (u,) = p
-        return TowerSpec((
-            Stage(3, _zeros(0, 4)),
-            Stage(1, (Poly.variable(1, 0), Poly(1, {(2,): u}))),
-        ))
-    raise ValueError(f"unknown family tag {tag!r}")
+    return _FAMILIES[fid.tag](*fid.params)
 
 
 @lru_cache(maxsize=None)

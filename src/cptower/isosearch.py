@@ -121,7 +121,7 @@ class SearchVerdict(namedtuple("SearchVerdict", "result matrix det bound reason"
         if data["result"] == "none_within_bound":
             return cls(
                 "none_within_bound", None, None, int(data["bound"]),
-                data.get("reason", "exhausted"),
+                data["reason"],
             )
         raise ValueError(f"unknown verdict result {data['result']!r}")
 
@@ -687,6 +687,8 @@ def _search_matrices(
         found = [((), 1)]  # the empty matrix
     elif None in pres_a.weights or None in pres_b.weights:
         raise IsoShapeError("search needs homogeneous relations")
+    elif bound == 0:
+        found = ()  # the box holds only the zero column, in no certificate
     else:
         found = _ColumnWalk(pres_a, _box_powers(pres_b, bound)).walk(
             0, [], {0: 1}

@@ -55,6 +55,38 @@ class Stage(namedtuple("Stage", "fiber_dim chern")):
     __slots__ = ()
 
 
+def _check_stage(idx: int, stage: Stage) -> None:
+    """Raise TowerSpecError unless ``stage`` fits as stage ``idx`` (from 1)
+    of a tower: its fiber size and its Chern classes, in the idx - 1 earlier
+    generators and homogeneous of their degrees."""
+    base_gens = idx - 1
+    if stage.fiber_dim < 1:
+        raise TowerSpecError(
+            f"stage {idx} fiber_dim must be at least 1 (fiber at least CP^1)"
+        )
+    if stage.fiber_dim > MAX_FIBER_DIM:
+        raise TowerSpecError(
+            f"stage {idx} fiber_dim {stage.fiber_dim} is above the "
+            f"limit of {MAX_FIBER_DIM}"
+        )
+    rank = stage.fiber_dim + 1
+    if len(stage.chern) != rank:
+        raise TowerSpecError(
+            f"stage {idx} expects {rank} chern classes, got {len(stage.chern)}"
+        )
+    for i, c in enumerate(stage.chern, start=1):
+        if c.nvars != base_gens:
+            raise TowerSpecError(
+                f"stage {idx} chern entry {i} must be a polynomial in "
+                f"{base_gens} generators, got {c.nvars}"
+            )
+        if not c.is_homogeneous(i):
+            raise TowerSpecError(
+                f"stage {idx} chern entry {i} must be homogeneous of "
+                f"cohomological degree {2 * i}"
+            )
+
+
 class TowerSpec(namedtuple("TowerSpec", "stages")):
     """A tower's stages, checked on every path (``_make``, ``_replace``,
     unpickling too); as a namedtuple it also equals ``(stages,)``."""
@@ -63,32 +95,7 @@ class TowerSpec(namedtuple("TowerSpec", "stages")):
 
     def __new__(cls, stages):
         for idx, stage in enumerate(stages, start=1):
-            base_gens = idx - 1
-            if stage.fiber_dim < 1:
-                raise TowerSpecError(
-                    f"stage {idx} fiber_dim must be at least 1 (fiber at least CP^1)"
-                )
-            if stage.fiber_dim > MAX_FIBER_DIM:
-                raise TowerSpecError(
-                    f"stage {idx} fiber_dim {stage.fiber_dim} is above the "
-                    f"limit of {MAX_FIBER_DIM}"
-                )
-            rank = stage.fiber_dim + 1
-            if len(stage.chern) != rank:
-                raise TowerSpecError(
-                    f"stage {idx} expects {rank} chern classes, got {len(stage.chern)}"
-                )
-            for i, c in enumerate(stage.chern, start=1):
-                if c.nvars != base_gens:
-                    raise TowerSpecError(
-                        f"stage {idx} chern entry {i} must be a polynomial in "
-                        f"{base_gens} generators, got {c.nvars}"
-                    )
-                if not c.is_homogeneous(i):
-                    raise TowerSpecError(
-                        f"stage {idx} chern entry {i} must be homogeneous of "
-                        f"cohomological degree {2 * i}"
-                    )
+            _check_stage(idx, stage)
         return super().__new__(cls, stages)
 
     # namedtuple's _make, which _replace calls, would skip the checks
@@ -468,8 +475,9 @@ def towerspec_from_json(data) -> TowerSpec:
                 for mono, coeff in terms.items()
             }
             chern.append(Poly(base_gens, trimmed))
-        stages.append(Stage(fiber_dim=n, chern=tuple(chern)))
-        TowerSpec(stages=tuple(stages))  # validate incrementally
+        stage = Stage(fiber_dim=n, chern=tuple(chern))
+        _check_stage(idx, stage)  # before any later stage is read
+        stages.append(stage)
     return TowerSpec(stages=tuple(stages))
 
 

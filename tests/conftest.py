@@ -38,8 +38,14 @@ def cache_entry_path(directory, a: str, b: str, bound: int) -> Path:
     return Path(directory) / f"{key}.json"
 
 
+def tampered(entry: dict, edits: dict) -> dict:
+    """``entry`` with ``edits`` merged in, a key edited to None dropped."""
+    merged = {**entry, **edits}
+    return {k: v for k, v in merged.items() if v is not None}
+
+
 # Verdict-cache entries with fields edited so that no search at the bound
-# could have printed them: (a, b, bound, edits merged into the entry's JSON).
+# could have printed them: (a, b, bound, edits applied by ``tampered``).
 # The towers are spelled as ``cpt`` arguments.  A pair whose Poincare series
 # differ has no entry at all: one planted for it is never read or rewritten.
 TAMPERED_CACHE_ENTRIES = [
@@ -51,4 +57,5 @@ TAMPERED_CACHE_ENTRIES = [
     ("Eta2:1,2", "Eta2:1,-2", 2, {"bound": "9", "reason": "proved_by_oracle"}),
     ("Eta2:1,2", "Eta2:1,-2", 2, {"reason": "betti_mismatch"}),  # equal series
     ("Eta2:0,0", "M8:0,0", 2, {"reason": "exhausted"}),  # series differ
+    ("Eta2:1,2", "Eta2:1,-2", 2, {"reason": None}),  # a negative without one
 ]

@@ -31,8 +31,10 @@ from cptower.catalog import (
     cp_spec,
 )
 from cptower.cli import resolve_ring_arg
-from cptower.towers import MAX_FIBER_DIM, RingPresentation
-from conftest import TAMPERED_CACHE_ENTRIES, cache_entry_path, fam, pres
+from cptower.towers import MAX_FIBER_DIM, RingPresentation, towerspec_to_json
+from conftest import (
+    TAMPERED_CACHE_ENTRIES, cache_entry_path, fam, pres, tampered,
+)
 
 
 # -- family ids -------------------------------------------------------------
@@ -56,6 +58,7 @@ def test_family_id_parse_strips_whitespace():
         ("CP3:1", "family CP3 takes 0 parameter"),
         ("Eta2:1", "family Eta2 takes 2 parameter"),
         ("GB2:1,2", "family GB2 takes 1 parameter"),
+        ("Zeta3:1,2", r"^family Zeta3 takes 3 parameter\(s\), got 2$"),
         ("Eta2:1,x", "malformed family id 'Eta2:1,x'"),
         ("Eta2:1,,2", "malformed family id"),
     ],
@@ -112,6 +115,19 @@ def test_presentation_of_is_cached():
 def test_m8_alpha_does_not_touch_the_ring():
     assert presentation_of(fam("M8:0,2")) == presentation_of(fam("M8:1,2"))
     assert build(fam("M8:0,2")) == build(fam("M8:1,2"))
+
+
+def test_catalog_towers_are_pinned():
+    # every tower a theorem list at range 2 or a recorded coincidence
+    # names, stage by stage, byte for byte
+    ids = [f for t in THEOREMS for f in families_for_theorem(t, 2)]
+    ids += [f for a, b, _ in coincidence_fixtures() for f in (a, b)]
+    ids = list(dict.fromkeys(ids))
+    text = json.dumps([[str(f), towerspec_to_json(build(f))] for f in ids])
+    assert len(ids) == 57
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "a881046706e3152a00bb8a1dfd357057307dcff4f033d7af9f475d87340c0dcf"
+    )
 
 
 def test_cp_spec_limit():
@@ -527,7 +543,7 @@ def test_cached_search_recomputes_tampered_fields(
     if pres_a.poincare() != pres_b.poincare():
         # decided before the cache: a planted entry is never read or rewritten
         cache_file = cache_entry_path(tmp_path, a, b, bound)
-        cache_file.write_text(json.dumps({**fresh, **edits}))
+        cache_file.write_text(json.dumps(tampered(fresh, edits)))
         before = (cache_file.read_bytes(), cache_file.stat().st_ino)
         opened = []
 
@@ -544,8 +560,8 @@ def test_cached_search_recomputes_tampered_fields(
     _cached_search(pres_a, pres_b, bound, str(tmp_path))
     (cache_file,) = tmp_path.iterdir()
     assert json.loads(cache_file.read_text()) == fresh
-    assert {**fresh, **edits} != fresh
-    cache_file.write_text(json.dumps({**fresh, **edits}))
+    assert tampered(fresh, edits) != fresh
+    cache_file.write_text(json.dumps(tampered(fresh, edits)))
     again = _cached_search(pres_a, pres_b, bound, str(tmp_path))
     assert again.to_json() == fresh
     assert json.loads(cache_file.read_text()) == fresh  # overwritten

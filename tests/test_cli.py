@@ -21,7 +21,7 @@ from cptower.cli import (
     parse_poly_text,
     resolve_ring_arg,
 )
-from conftest import TAMPERED_CACHE_ENTRIES, cache_entry_path
+from conftest import TAMPERED_CACHE_ENTRIES, cache_entry_path, tampered
 
 
 def run_cli(capsys, *argv):
@@ -349,14 +349,14 @@ def test_iso_recomputes_tampered_cache_entries(
         # decided before the cache: a planted entry is never read or rewritten
         assert list(tmp_path.iterdir()) == []
         cache_file = cache_entry_path(tmp_path, a, b, bound)
-        cache_file.write_text(json.dumps({**json.loads(fresh[1]), **edits}))
+        cache_file.write_text(json.dumps(tampered(json.loads(fresh[1]), edits)))
         before = (cache_file.read_bytes(), cache_file.stat().st_ino)
         assert run_cli(capsys, *argv) == fresh
         assert (cache_file.read_bytes(), cache_file.stat().st_ino) == before
         return
     (cache_file,) = tmp_path.iterdir()
     entry = json.loads(cache_file.read_text())
-    cache_file.write_text(json.dumps({**entry, **edits}))
+    cache_file.write_text(json.dumps(tampered(entry, edits)))
     assert run_cli(capsys, *argv) == fresh
     assert json.loads(cache_file.read_text()) == entry  # overwritten
 

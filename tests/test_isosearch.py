@@ -191,6 +191,21 @@ def test_search_preconditions():
     assert search(point, point, 1).matrix == ()
 
 
+def test_bound_zero_builds_no_tables(monkeypatch):
+    # the bound-0 box holds only the zero column, which is in no
+    # certificate: the search is exhausted before any target table is built
+    def refuse(*args):
+        raise AssertionError("a bound-0 search built its tables")
+
+    _box_powers.cache_clear()
+    monkeypatch.setattr(isosearch, "_BoxPowers", refuse)
+    ring = pres("Zeta3:1,0,2")
+    assert search(ring, ring, 0) == (
+        "none_within_bound", None, None, 0, "exhausted"
+    )
+    assert search_all(ring, ring, 0) == []
+
+
 def test_rejected_certificate_raises(monkeypatch):
     # a certificate verify rejects is an engine bug, in both entry points
     a, b = pres("GB2:1"), pres("GB2:2")

@@ -566,6 +566,12 @@ def test_towerspec_json_emits_strings():
         ({"stages": [{"fiber_dim": 2.7}]}, "stage 1: fiber_dim must be an integer"),
         ({"stages": [{"fiber_dim": True}]}, "stage 1: fiber_dim must be an integer"),
         ({"stages": [{"fiber_dim": "x"}]}, "stage 1: fiber_dim must be an integer"),
+        # stage 1 is checked before stage 2 is read, so its error comes first
+        (
+            {"stages": [{"fiber_dim": "1", "chern": [[]]},
+                        {"fiber_dim": "1", "chern": [[], []], "x": 0}]},
+            "stage 1 expects 2 chern classes",
+        ),
     ],
 )
 def test_towerspec_from_json_rejects(data, message):
@@ -577,6 +583,25 @@ def test_towerspec_from_json_rejects(data, message):
 def test_towerspec_from_json_reads_an_integer_fiber_dim(value):
     data = {"stages": [{"fiber_dim": value, "chern": [[], [], []]}]}
     assert towerspec_from_json(data) == cp_spec(2)
+
+
+def test_towerspec_from_json_checks_each_stage_a_bounded_number_of_times(
+    monkeypatch,
+):
+    # validation is linear in the stage count: reading 40 CP^1 stages tests
+    # each of their 80 Chern classes a fixed number of times, not once per
+    # later stage
+    calls = []
+    real = Poly.is_homogeneous
+
+    def counting(self, w):
+        calls.append(w)
+        return real(self, w)
+
+    monkeypatch.setattr(Poly, "is_homogeneous", counting)
+    data = {"stages": [{"fiber_dim": "1", "chern": [[], []]}] * 40}
+    assert towerspec_from_json(data).ngens == 40
+    assert len(calls) <= 4 * 40
 
 
 def test_towerspec_from_json_forward_reference():
