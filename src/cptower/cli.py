@@ -108,9 +108,7 @@ def parse_poly_text(text: str, nvars: int, names=None) -> Poly:
     if not s:
         raise ValueError("empty polynomial")
     total = Poly.zero(nvars)
-    consumed = 0
     for chunk in re.findall(r"[+-]?[^+-]+|[+-]", s):
-        consumed += len(chunk)
         sign = 1
         body = chunk
         if body and body[0] in "+-":
@@ -128,8 +126,6 @@ def parse_poly_text(text: str, nvars: int, names=None) -> Poly:
         ):
             exps[_var_index(fac.group(1), names)] += int(fac.group(2) or "1")
         total = total + Poly(nvars, {tuple(exps): sign * coeff})
-    if consumed != len(s):
-        raise ValueError(f"cannot parse polynomial {text!r}")
     return total
 
 

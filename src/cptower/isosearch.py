@@ -26,17 +26,21 @@ engines directly.  Its work is split by what it depends on:
 
 (a) per target, shared by consecutive searches: the powers L_c, L_c^2, ...
     of the linear form of every box column c, in the target's graded basis
-    (``_BoxPowers``; a one-slot cache keeps the latest target's).  Relations
-    must be homogeneous (the search refuses others), so source relation d
-    has weight cap_d + 1, mentions only x_0..x_d and is checked at depth d.
+    (``_BoxPowers``; a one-slot cache keeps the latest target's), and the
+    one product table ``fold(a, e)``: each weight-a basis element times
+    L^e, as (row in weight a + e, power coordinate, coefficient) triples,
+    which also makes the powers.  Relations must be homogeneous (the
+    search refuses others), so source relation d has weight cap_d + 1,
+    mentions only x_0..x_d and is checked at depth d.
     Equal Poincare series, which a search needs, give equal caps, so no
     source exponent passes max(caps) + 1 and the tables depend on the
     target and the bound alone.  Per source, each relation is split by the
     powers of its last generator once (``_relation_splits``), and kept for
     as long as the source presentation lives;
 (b) per prefix node: relation d, written sum_e x_d^e * P_e(x_0..x_(d-1)),
-    has its prefix parts P_e evaluated once, to values q_e.  They fold into
-    one dense integer matrix A and one target vector t such that the image
+    has its prefix parts P_e evaluated once, to values q_e (products of
+    prefix powers, by ``fold``).  By ``fold`` again they fold into one
+    dense integer matrix A and one target vector t such that the image
     at candidate c vanishes exactly when A (L_c, L_c^2, ...) = t.  The same
     A recurs at many nodes, so each target keeps an index per A that lists
     the box columns in the order of their image, packed into one exact
@@ -467,6 +471,10 @@ class _BoxPowers:
     idx, so L^e is ``rows[idx][offset[e]:offset[e + 1]]``.  ``dims[w]`` is
     the rank in weight w (0 above the top weight).
 
+    ``fold`` is the one product table: ``fold(e - 1, 1)`` makes L^e from
+    L^(e-1), a walk node multiplies its prefix powers by it, and an index
+    build folds the node's matrix A from it.
+
     ``lanes`` holds the same values packed into big integers, one lane of
     bits per box column (:class:`_Lanes`), made on first use: per lane
     width in use, one integer of len(columns) lanes per coordinate an
@@ -492,15 +500,12 @@ class _BoxPowers:
     def __init__(self, pres_b: RingPresentation, bound: int):
         self.g = pres_b.ngens
         self.columns = list(product(range(-bound, bound + 1), repeat=self.g))
-        self.maxw = sum(pres_b.caps)
-        self.bases = [
-            pres_b.graded_basis(2 * w) for w in range(self.maxw + 1)
-        ]
+        maxw = sum(pres_b.caps)
+        self.bases = [pres_b.graded_basis(2 * w) for w in range(maxw + 1)]
         # and rank 0 one weight past the top, which a relation of the top
         # cap reaches
         self.dims = [len(basis) for basis in self.bases] + [0]
         self._reduce = pres_b._reduce_monomial
-        self._products: dict = {}
         self._folds: dict = {}
         top = max(pres_b.caps) + 1
         self.offset = [0, 0]
@@ -518,50 +523,22 @@ class _BoxPowers:
             [max(map(abs, v)) for v in self.values], self._folds,
         ))
 
-    def table(self, a: int, b: int) -> list:
-        """``table[m][i]``: basis_a[m] * basis_b[i] reduced, as (index in
-        basis_(a+b), coefficient) pairs; needs a + b <= maxw."""
-        table = self._products.get((a, b))
-        if table is None:
-            index = {m: j for j, m in enumerate(self.bases[a + b])}
-            table = [
-                [
-                    [(index[m], c) for m, c in
-                     self._reduce(tuple(map(add, u, v))).items()]
-                    for v in self.bases[b]
-                ]
-                for u in self.bases[a]
-            ]
-            self._products[(a, b)] = table
-        return table
-
     def fold(self, a: int, e: int) -> list:
-        """``fold[m]``: the (row j, power coordinate p, coefficient) triples
-        of basis_a[m] * L^e, flattened from ``table(a, e)`` with p counted
-        from ``offset[e]``; needs a + e <= maxw."""
+        """``fold[m]``: the (row j, power coordinate p, coefficient c)
+        triples of basis_a[m] * L^e, where basis_a[m] * basis_e[i] reduces
+        to the sum of c * basis_(a+e)[j] and p = offset[e] + i; ordered by
+        i, then by the reduction's terms.  Needs a + e <= the top weight."""
         fold = self._folds.get((a, e))
         if fold is None:
+            index = {m: j for j, m in enumerate(self.bases[a + e])}
             start = self.offset[e]
             fold = self._folds[(a, e)] = [
-                [(j, start + i, c)
-                 for i, targets in enumerate(row) for j, c in targets]
-                for row in self.table(a, e)
+                [(index[m], start + i, c)
+                 for i, v in enumerate(self.bases[e])
+                 for m, c in self._reduce(tuple(map(add, u, v))).items()]
+                for u in self.bases[a]
             ]
         return fold
-
-    def mul(self, u: list, a: int, v: list, b: int) -> list:
-        """Product of a weight-a and a weight-b coordinate vector; needs
-        a + b <= maxw."""
-        out = [0] * self.dims[a + b]
-        table = self.table(a, b)
-        for m, um in enumerate(u):
-            if um:
-                row = table[m]
-                for i, vi in enumerate(v):
-                    if vi:
-                        for j, c in row[i]:
-                            out[j] += um * vi * c
-        return out
 
     def _tabulate_powers(self, top: int) -> list:
         n = len(self.columns)
@@ -570,14 +547,12 @@ class _BoxPowers:
         for e in range(2, top + 1):
             if not self.dims[e]:
                 break
-            prev, first = self.offset[e - 1], self.offset[1]
+            prev = self.offset[e - 1]
             terms: list[list] = [[] for _ in range(self.dims[e])]
-            for m, row in enumerate(self.table(e - 1, 1)):
-                for i, targets in enumerate(row):
-                    for j, c in targets:
-                        terms[j].append(
-                            (c, map(mul, values[prev + m], values[first + i]))
-                        )
+            # L^e = L^(e-1) * L, coordinate p of L being values[p]
+            for m, triples in enumerate(self.fold(e - 1, 1)):
+                for j, p, c in triples:
+                    terms[j].append((c, map(mul, values[prev + m], values[p])))
             values.extend(list(_lincomb(n, t)) for t in terms)
         return values
 
@@ -641,8 +616,16 @@ class _ColumnWalk:
                 v, a = (1,), 0
                 for i, x in enumerate(exps):
                     if x:
-                        p = rows[cols[i]][offset[x]:offset[x + 1]]  # L^x
-                        v = t.mul(v, a, p, x) if a else p
+                        row = rows[cols[i]]
+                        if a:  # v * L^x, by the product table
+                            prod = [0] * t.dims[a + x]
+                            for vm, triples in zip(v, t.fold(a, x)):
+                                if vm:
+                                    for j, p, c in triples:
+                                        prod[j] += vm * c * row[p]
+                            v = prod
+                        else:
+                            v = row[offset[x]:offset[x + 1]]  # L^x
                         a += x
                 for m, vm in enumerate(v):
                     q[m] += coeff * vm

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
+from operator import add
 
 from .polyring import Monomial, Poly, PolyJSONError, _parse_int, monomial_key
 
@@ -163,6 +164,8 @@ class RingPresentation:
         )
         self._hash = hash(self.identity)
         self._nf_memo: dict[Monomial, dict[Monomial, int]] = {}
+        # homogeneous relations grade the ring, which is 0 above this weight
+        self._top_weight = sum(caps) if None not in self.weights else None
         # convolution of (1, 1, ..., 1) blocks, one per stage
         coeffs = [1]
         for cap in caps:
@@ -204,35 +207,46 @@ class RingPresentation:
 
         Rewrites the highest offending generator first; by confluence (see
         module docstring) any choice gives the same answer, and a dense
-        oracle in the tests double-checks that.
+        oracle in the tests double-checks that.  A rewrite chain can be as
+        long as the top weight, so it runs on an explicit stack: a monomial
+        is expanded into its rewrites, which are reduced first.  With
+        homogeneous relations a monomial above the top weight is 0 at once.
         """
         memo = self._nf_memo
         done = memo.get(mono)
         if done is not None:
             return done
-        k = -1
-        for idx in range(self.ngens - 1, -1, -1):
-            if mono[idx] > self.caps[idx]:
-                k = idx
-                break
-        if k < 0:
-            result = {mono: 1}
-            memo[mono] = result
-            return result
-        # mono = x_k^(cap+1) * rest ; replace the power by minus the tail
-        rest = list(mono)
-        rest[k] -= self.caps[k] + 1
-        result: dict[Monomial, int] = {}
-        for tail_mono, tail_coeff in self._tails[k]:
-            shifted = tuple(r + t for r, t in zip(rest, tail_mono))
-            for m, c in self._reduce_monomial(shifted).items():
-                acc = result.get(m, 0) - tail_coeff * c
-                if acc:
-                    result[m] = acc
-                else:
-                    del result[m]
-        memo[mono] = result
-        return result
+        if self._top_weight is not None and sum(mono) > self._top_weight:
+            return {}
+        caps, tails = self.caps, self._tails
+        stack: list = [(mono, None)]
+        while stack:
+            cur, rewrites = stack.pop()
+            if rewrites is not None:  # its rewrites are reduced: combine
+                result: dict[Monomial, int] = {}
+                for shifted, tail_coeff in rewrites:
+                    for m, c in memo[shifted].items():
+                        acc = result.get(m, 0) - tail_coeff * c
+                        if acc:
+                            result[m] = acc
+                        else:
+                            del result[m]
+                memo[cur] = result
+            elif cur not in memo:
+                k = self.ngens - 1
+                while k >= 0 and cur[k] <= caps[k]:
+                    k -= 1
+                if k < 0:
+                    memo[cur] = {cur: 1}
+                    continue
+                # cur = x_k^(cap+1) * rest: replace the power by minus the tail
+                rest = list(cur)
+                rest[k] -= caps[k] + 1
+                rewrites = [(tuple(map(add, rest, tail_mono)), tail_coeff)
+                            for tail_mono, tail_coeff in tails[k]]
+                stack.append((cur, rewrites))
+                stack += [(m, None) for m, _ in rewrites if m not in memo]
+        return memo[mono]
 
     def normal_form(self, p: Poly) -> Poly:
         """Unique representative supported on the reduced monomial basis."""
@@ -458,40 +472,32 @@ def towerspec_from_json(data) -> TowerSpec:
         chern: list[Poly] = []
         for i, entry in enumerate(chern_raw, start=1):
             try:
-                loose = _poly_from_json_loose(entry)
+                poly = _poly_from_json_loose(entry, base_gens)
             except PolyJSONError as exc:
                 raise TowerSpecError(f"stage {idx} chern entry {i}: {exc}")
-            width, terms = loose
-            for mono in terms:
-                for gen_idx in range(base_gens, width):
+            for mono in poly.terms:
+                for gen_idx in range(base_gens, poly.nvars):
                     if mono[gen_idx]:
                         raise TowerSpecError(
                             f"stage {idx} chern references generator {gen_idx + 1}"
                         )
-            trimmed = {
-                mono[:base_gens]
-                if len(mono) >= base_gens
-                else mono + (0,) * (base_gens - len(mono)): coeff
-                for mono, coeff in terms.items()
-            }
-            chern.append(Poly(base_gens, trimmed))
+            chern.append(Poly(base_gens, {
+                mono[:base_gens]: coeff for mono, coeff in poly.terms.items()
+            }))
         stage = Stage(fiber_dim=n, chern=tuple(chern))
         _check_stage(idx, stage)  # before any later stage is read
         stages.append(stage)
     return TowerSpec(stages=tuple(stages))
 
 
-def _poly_from_json_loose(data):
-    """Like Poly.from_json but with a free exponent-vector width.
-
-    Returns (width, {monomial: coeff}); used by the tower parser, which
-    wants to report forward references by generator number instead of
-    rejecting on length.
+def _poly_from_json_loose(data, width: int) -> Poly:
+    """Poly.from_json with a free exponent-vector width: every term's
+    exponents are padded with zeros to the widest vector, and to at least
+    ``width``.  Used by the tower parser, which wants to report forward
+    references by generator number instead of rejecting on length.
     """
     if not isinstance(data, list):
         raise PolyJSONError("polynomial must be a list of terms")
-    width = 0
-    rows = []
     for idx, item in enumerate(data, start=1):
         if not isinstance(item, dict) or "coeff" not in item or "exps" not in item:
             raise PolyJSONError(f"term {idx}: needs 'coeff' and 'exps'")
@@ -499,12 +505,7 @@ def _poly_from_json_loose(data):
         if not isinstance(exps, list):
             raise PolyJSONError(f"term {idx}: exps must be a list")
         width = max(width, len(exps))
-        rows.append(item)
-    parsed = Poly.from_json(width, [
-        {
-            "coeff": item["coeff"],
-            "exps": list(item["exps"]) + ["0"] * (width - len(item["exps"])),
-        }
-        for item in rows
+    return Poly.from_json(width, [
+        {**item, "exps": item["exps"] + ["0"] * (width - len(item["exps"]))}
+        for item in data
     ])
-    return width, dict(parsed.terms)

@@ -322,6 +322,35 @@ def test_index_lookup_filters_the_box(g, bound, data):
     assert _survivors(index, reached)  # the drawn column itself
 
 
+@pytest.mark.parametrize("name", [
+    "CP3", "Eta2:1,-2", "Zeta3:1,1,2", "Xi3:0,1,-1", "M8:0,2", "CP2xCP1xCP1",
+])
+def test_fold_lists_the_reduced_products_of_basis_monomials(name):
+    # every (a, e) a walk asks for: e up to max(caps) + 1, a + e up to the
+    # top weight; the oracle multiplies Poly monomials and reduces them
+    ring = {"CP3": lambda: cp(3),
+            "CP2xCP1xCP1": lambda: trivial_tower(2, 1, 1)}.get(
+        name, lambda: pres(name))()
+    tables = _BoxPowers(ring, 1)
+    g, top = ring.ngens, sum(ring.caps)
+    bases = [ring.graded_basis(2 * w) for w in range(top + 1)]
+    for e in range(1, max(ring.caps) + 2):
+        start = sum(map(len, bases[1:e]))  # where L^e starts
+        for a in range(top - e + 1):
+            product_basis = bases[a + e]
+            expected = [
+                sorted(
+                    (product_basis.index(m), start + i, c)
+                    for i, v in enumerate(bases[e])
+                    for m, c in ring.normal_form(
+                        Poly.monomial(g, u) * Poly.monomial(g, v)
+                    ).terms.items()
+                )
+                for u in bases[a]
+            ]
+            assert list(map(sorted, tables.fold(a, e))) == expected, (a, e)
+
+
 # lane widths in bits, (lo, hi]: one per native item size, narrowest first,
 # then two spans of lanes of several words
 _ITEM_BITS = sorted({8 * array(code).itemsize for code in "BHILQ"})

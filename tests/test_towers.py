@@ -18,7 +18,9 @@ from cptower import (
     towerspec_from_json,
     towerspec_to_json,
 )
-from cptower.catalog import THEOREMS, _cache_key, build, families_for_theorem
+from cptower.catalog import (
+    THEOREMS, _cache_key, _over, build, families_for_theorem,
+)
 from cptower.towers import MAX_FIBER_DIM, _restrict
 from conftest import cp, cp_spec, hirzebruch, hirzebruch_spec, trivial_tower
 from oracles import dense_multiplication_table
@@ -301,6 +303,24 @@ def test_normal_form_fixtures():
     assert h0.normal_form(Poly(2, {(2, 1): 1})).is_zero()
 
 
+def test_normal_form_follows_a_rewrite_chain_of_top_weight_length():
+    # P(gamma + 1) over CP^1000: y^1001 takes one rewrite y^2 -> -x*y per
+    # power of x, a chain deeper than the interpreter's recursion limit
+    x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+    ring = RingPresentation((1000, 1), [x ** 1001, y * y + x * y])
+    assert ring == presentation(
+        _over(cp_spec(1000), 1, Poly.variable(1, 0), Poly.zero(1))
+    )
+    assert ring.normal_form(y ** 1001) == Poly.monomial(2, (1000, 1))
+
+
+def test_normal_form_above_the_top_weight_is_zero_at_once():
+    # homogeneous relations grade the ring: no rewrite chain of 10^9 steps
+    h1 = hirzebruch(1)
+    assert h1.normal_form(Poly.monomial(2, (0, 10 ** 9))).is_zero()
+    assert len(h1._nf_memo) <= 3
+
+
 def test_normal_form_of_relations_is_zero():
     for pres in (cp(3), hirzebruch(1), presentation(zeta_spec(1, 1, 2))):
         for rel in pres.relations:
@@ -571,6 +591,14 @@ def test_towerspec_json_emits_strings():
             {"stages": [{"fiber_dim": "1", "chern": [[]]},
                         {"fiber_dim": "1", "chern": [[], []], "x": 0}]},
             "stage 1 expects 2 chern classes",
+        ),
+        # a term is read as strictly as Poly.from_json reads it
+        (
+            {"stages": [{"fiber_dim": "1", "chern": [[], []]},
+                        {"fiber_dim": "1", "chern": [
+                            [{"coeff": "2", "exps": ["1"], "cofe": "7"}], [],
+                        ]}]},
+            "stage 2 chern entry 1: term 1: unknown keys",
         ),
     ],
 )
