@@ -167,16 +167,16 @@ def _print_json(payload: dict) -> None:
 
 def _cmd_ring(args) -> int:
     pres = _resolve_presentation(args.spec)
+    # listed first, so a basis above the size limit is refused before
+    # anything is printed
+    basis = None if args.basis is None else pres.graded_basis(args.basis)
     names = _gen_names(pres.ngens)
     if args.json:
         payload = {"schema": _SCHEMA, **pres.to_json()}
         if args.poincare:
             payload["poincare"] = [str(b) for b in pres.poincare()]
-        if args.basis is not None:
-            payload["basis"] = [
-                [str(e) for e in mono]
-                for mono in pres.graded_basis(args.basis)
-            ]
+        if basis is not None:
+            payload["basis"] = [[str(e) for e in mono] for mono in basis]
         _print_json(payload)
         return 0
     print("generators:", " ".join(names))
@@ -185,9 +185,8 @@ def _cmd_ring(args) -> int:
         print(f"relation {i}: {format_poly(rel, names)}")
     if args.poincare:
         print("poincare:", " ".join(str(b) for b in pres.poincare()))
-    if args.basis is not None:
-        monos = pres.graded_basis(args.basis)
-        body = " ".join(_format_monomial(m, names) for m in monos)
+    if basis is not None:
+        body = " ".join(_format_monomial(m, names) for m in basis)
         print(f"basis[{args.basis}]: {body if body else '(none)'}")
     return 0
 

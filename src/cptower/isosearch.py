@@ -19,7 +19,8 @@ Enumeration order is part of the contract: matrices are tried in
 lexicographic order of the column-major flattened entry vector, entries
 running -B..B, so runs are reproducible bit for bit.  The engine places
 whole columns left to right, each drawn from the box of (2B+1)^g candidate
-columns (a box above ``MAX_BOX_COLUMNS`` is refused up front).  It skips no
+columns (a box above ``MAX_BOX_COLUMNS``, or a target ring of rank above
+``MAX_SEARCH_RANK``, is refused up front).  It skips no
 certificate, so the first matrix it finds is the one the plain flat
 enumeration of the whole entry box finds; the tests compare the two
 engines directly.  Its work is split by what it depends on:
@@ -225,6 +226,10 @@ def compose(m_ab: Matrix, m_bc: Matrix) -> Matrix:
 # The largest column box (2B+1)^g a search tabulates; a larger request is
 # refused before any table is built.
 MAX_BOX_COLUMNS = 100_000
+# The largest target rank a search tabulates, refused before any table is
+# built: the tables enumerate the whole basis (3 x CP^20, rank 9,261, takes
+# 0.3 s and 32 MB at bound 1; 3 x CP^30, rank 29,791, took 2.75 s and 117 MB).
+MAX_SEARCH_RANK = 10_000
 
 
 def check_box(g: int, bound: int) -> None:
@@ -672,6 +677,11 @@ def _search_matrices(
         raise IsoShapeError("search needs homogeneous relations")
     elif bound == 0:
         found = ()  # the box holds only the zero column, in no certificate
+    elif pres_b.rank > MAX_SEARCH_RANK:
+        raise ValueError(
+            f"the target ring has rank {pres_b.rank}, above the search "
+            f"limit of {MAX_SEARCH_RANK}"
+        )
     else:
         found = _ColumnWalk(pres_a, _box_powers(pres_b, bound)).walk(
             0, [], {0: 1}

@@ -29,7 +29,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from operator import add
 
-from .polyring import Monomial, Poly, PolyJSONError, _parse_int, monomial_key
+from .polyring import Monomial, Poly, PolyJSONError, _parse_int
 
 
 class TowerSpecError(ValueError):
@@ -43,6 +43,11 @@ class DualityError(ArithmeticError):
 # The largest fiber dimension a stage may have: a stage's n + 1 Chern
 # classes, and the time a search over its ring takes, grow with n.
 MAX_FIBER_DIM = 1_000
+# The most exponents (monomials times generators) a graded basis lists.
+# Each costs about 35 bytes and at most 0.5 us to build, so a basis at the
+# limit takes about 70 MB and under 1 s; (CP^1)^1100 in degree 2 has 1.21
+# million.
+MAX_BASIS_EXPONENTS = 2_000_000
 
 
 class Stage(namedtuple("Stage", "fiber_dim chern")):
@@ -267,25 +272,34 @@ class RingPresentation:
     # -- graded structure -------------------------------------------------
 
     def graded_basis(self, degree: int) -> list[Monomial]:
-        """Reduced-basis monomials of the given cohomological degree,
-        ascending in the canonical order."""
-        if degree < 0 or degree % 2:
+        """Reduced-basis monomials of the given cohomological degree, in
+        the canonical order: prefixes grow from the last generator to the
+        first, exponents ascending, each kept as its exponent and parent index."""
+        if degree < 0 or degree % 2 or degree > self.top_degree:
             return []
-        w = degree // 2
-        out: list[Monomial] = []
-
-        def walk(idx: int, remaining: int, prefix: tuple[int, ...]):
-            if idx == self.ngens:
-                if remaining == 0:
-                    out.append(prefix)
-                return
-            upper = min(self.caps[idx], remaining)
-            for e in range(upper + 1):
-                walk(idx + 1, remaining - e, prefix + (e,))
-
-        walk(0, w, ())
-        out.sort(key=monomial_key)
-        return out
+        w, room = degree // 2, sum(self.caps)
+        if self._poincare[w] * self.ngens > MAX_BASIS_EXPONENTS:
+            raise ValueError(
+                f"the degree-{degree} basis has {self._poincare[w]} monomials "
+                f"of {self.ngens} exponents, above the limit of "
+                f"{MAX_BASIS_EXPONENTS} exponents"
+            )
+        levels, lefts = [], [w]  # per prefix, the weight still to place
+        for cap in reversed(self.caps):
+            room -= cap  # what the generators before this one can take
+            exps, parents, nxt = [], [], []
+            for i, left in enumerate(lefts):  # keep what the caps can complete
+                for e in range(max(0, left - room), min(cap, left) + 1):
+                    exps.append(e)
+                    parents.append(i)
+                    nxt.append(left - e)
+            levels.append((exps, parents))
+            lefts = nxt
+        columns, picked = [], range(len(lefts))
+        for exps, parents in reversed(levels):  # the first generator first
+            columns.append([exps[i] for i in picked])
+            picked = [parents[i] for i in picked]
+        return list(zip(*columns)) if columns else [()]
 
     def poincare(self) -> tuple[int, ...]:
         """Ranks of the graded pieces in degrees 0, 2, ..., top (computed
@@ -437,8 +451,8 @@ def towerspec_to_json(spec: TowerSpec) -> dict:
 def towerspec_from_json(data) -> TowerSpec:
     """Parse a tower description, with stage-anchored error messages.
 
-    Chern exponent vectors may mention any generator slot; a non-zero
-    exponent on a generator at or above the stage's own is reported as e.g.
+    A Chern exponent list may be shorter or longer than the stage's
+    generator count; a non-zero extra exponent is reported as e.g.
     ``stage 2 chern references generator 3``.
     """
     if not isinstance(data, dict):
@@ -472,40 +486,36 @@ def towerspec_from_json(data) -> TowerSpec:
         chern: list[Poly] = []
         for i, entry in enumerate(chern_raw, start=1):
             try:
-                poly = _poly_from_json_loose(entry, base_gens)
+                fitted = _fit_terms(entry, base_gens, idx)
+                chern.append(Poly.from_json(base_gens, fitted))
             except PolyJSONError as exc:
                 raise TowerSpecError(f"stage {idx} chern entry {i}: {exc}")
-            for mono in poly.terms:
-                for gen_idx in range(base_gens, poly.nvars):
-                    if mono[gen_idx]:
-                        raise TowerSpecError(
-                            f"stage {idx} chern references generator {gen_idx + 1}"
-                        )
-            chern.append(Poly(base_gens, {
-                mono[:base_gens]: coeff for mono, coeff in poly.terms.items()
-            }))
         stage = Stage(fiber_dim=n, chern=tuple(chern))
         _check_stage(idx, stage)  # before any later stage is read
         stages.append(stage)
     return TowerSpec(stages=tuple(stages))
 
 
-def _poly_from_json_loose(data, width: int) -> Poly:
-    """Poly.from_json with a free exponent-vector width: every term's
-    exponents are padded with zeros to the widest vector, and to at least
-    ``width``.  Used by the tower parser, which wants to report forward
-    references by generator number instead of rejecting on length.
-    """
-    if not isinstance(data, list):
-        raise PolyJSONError("polynomial must be a list of terms")
-    for idx, item in enumerate(data, start=1):
+def _fit_terms(entry, base_gens: int, idx: int):
+    """Stage ``idx``'s Chern entry with each ``exps`` list fitted to its
+    ``base_gens`` generators: padded with zeros, or cut after its extra
+    exponents are read and found to be zero."""
+    if not isinstance(entry, list):
+        return entry  # Poly.from_json refuses it
+    fitted = []
+    for t, item in enumerate(entry, start=1):
         if not isinstance(item, dict) or "coeff" not in item or "exps" not in item:
-            raise PolyJSONError(f"term {idx}: needs 'coeff' and 'exps'")
+            raise PolyJSONError(f"term {t}: needs 'coeff' and 'exps'")
         exps = item["exps"]
-        if not isinstance(exps, list):
-            raise PolyJSONError(f"term {idx}: exps must be a list")
-        width = max(width, len(exps))
-    return Poly.from_json(width, [
-        {**item, "exps": item["exps"] + ["0"] * (width - len(item["exps"]))}
-        for item in data
-    ])
+        if isinstance(exps, list) and len(exps) != base_gens:
+            for j in range(base_gens, len(exps)):
+                e = _parse_int(exps[j], f"term {t}: exponent {j + 1}")
+                if e < 0:
+                    raise PolyJSONError(f"term {t}: negative exponent")
+                if e:
+                    raise TowerSpecError(
+                        f"stage {idx} chern references generator {j + 1}"
+                    )
+            item = {**item, "exps": exps[:base_gens] + [0] * (base_gens - len(exps))}
+        fitted.append(item)
+    return fitted

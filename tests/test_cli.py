@@ -115,6 +115,22 @@ def test_ring_poincare_and_basis(capsys):
     assert "basis[3]: (none)" in out
 
 
+def test_ring_basis_of_many_generators(capsys, tmp_path):
+    # 1,100 CP^1 stages: degree 2 lists every generator; degree 4 would be
+    # 604,450 monomials of 1,100 exponents and is refused before printing
+    spec_file = tmp_path / "tower.json"
+    spec_file.write_text(json.dumps(
+        {"stages": [{"fiber_dim": "1", "chern": [[], []]}] * 1100}
+    ))
+    code, out, _ = run_cli(capsys, "ring", str(spec_file), "--basis", "2")
+    assert code == 0
+    basis = out.splitlines()[-1].split()
+    assert basis[0] == "basis[2]:" and len(basis) == 1 + 1100
+    code, out, err = run_cli(capsys, "ring", str(spec_file), "--basis", "4")
+    assert code == 2 and out == ""
+    assert "degree-4 basis has 604450 monomials" in err
+
+
 def test_ring_json_output(capsys):
     code, payload, _ = run_json(capsys, "ring", "Eta2:0,3", "--json", "--poincare", "--basis", "4")
     assert code == 0

@@ -206,6 +206,24 @@ def test_bound_zero_builds_no_tables(monkeypatch):
     assert search_all(ring, ring, 0) == []
 
 
+def test_search_refuses_a_target_above_the_rank_limit(monkeypatch):
+    # refused before any table is built; a Betti mismatch and a bound-0
+    # search keep their verdicts
+    def refuse(*args):
+        raise AssertionError("a refused search built its tables")
+
+    _box_powers.cache_clear()
+    monkeypatch.setattr(isosearch, "_BoxPowers", refuse)
+    monkeypatch.setattr(isosearch, "MAX_SEARCH_RANK", 8)
+    ring = trivial_tower(2, 2)  # rank 9
+    for entry in (search, search_all):
+        with pytest.raises(ValueError, match="rank 9, above the search "
+                           "limit of 8"):
+            entry(ring, ring, 1)
+    assert search(ring, ring, 0).reason == "exhausted"
+    assert search(ring, cp(4), 1).reason == "betti_mismatch"
+
+
 def test_rejected_certificate_raises(monkeypatch):
     # a certificate verify rejects is an engine bug, in both entry points
     a, b = pres("GB2:1"), pres("GB2:2")

@@ -1,6 +1,7 @@
 """Tower descriptions, quotient presentations, duality, determinants."""
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +19,7 @@ from cptower import (
     towerspec_from_json,
     towerspec_to_json,
 )
+from cptower import towers
 from cptower.catalog import (
     THEOREMS, _cache_key, _over, build, families_for_theorem,
 )
@@ -364,6 +366,18 @@ def test_graded_basis_fixtures():
     assert cp(3).graded_basis(8) == []
     assert cp(3).graded_basis(-2) == []
     assert cp(3).graded_basis(3) == []
+    assert RingPresentation((), ()).graded_basis(0) == [()]
+    assert RingPresentation((), ()).graded_basis(2) == []
+
+
+def test_graded_basis_refuses_a_degree_above_the_size_limit(monkeypatch):
+    # H1 has 2 monomials of 2 exponents in degree 2 and 1 in degrees 0, 4
+    monkeypatch.setattr(towers, "MAX_BASIS_EXPONENTS", 3)
+    ring = hirzebruch(1)
+    assert ring.graded_basis(4) == [(1, 1)]
+    with pytest.raises(ValueError, match="degree-2 basis has 2 monomials "
+                       "of 2 exponents, above the limit of 3"):
+        ring.graded_basis(2)
 
 
 def test_graded_basis_is_sorted_and_partitions_rank():
@@ -668,3 +682,29 @@ def test_towerspec_from_json_pads_narrow_exponents():
     }
     spec = towerspec_from_json(data)
     assert spec.stages[2].chern[0] == Poly(2, {(1, 0): 1})
+    # a longer list is cut once its extra exponents are read as zero
+    data["stages"][2]["chern"][0][0]["exps"] = ["1", "0", "0", 0]
+    assert towerspec_from_json(data) == spec
+
+
+def test_towerspec_from_json_reads_a_wide_term_at_the_stage_width():
+    # one 5,000-exponent term among 400 short ones: the terms are fitted to
+    # the stage's one generator, not padded to the widest term (16 MB), and
+    # the duplicate second term is refused as before
+    wide = {"coeff": "1", "exps": ["1"] + ["0"] * 4999}
+    short = [{"coeff": "1", "exps": ["1"]} for _ in range(400)]
+    data = {"stages": [
+        {"fiber_dim": "1", "chern": [[], []]},
+        {"fiber_dim": "1", "chern": [[wide] + short, []]},
+    ]}
+    tracemalloc.start()
+    try:
+        with pytest.raises(TowerSpecError, match=(
+            "stage 2 chern entry 1: term 2: terms must be in strictly "
+            "descending canonical order"
+        )):
+            towerspec_from_json(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
