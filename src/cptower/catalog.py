@@ -36,8 +36,9 @@ from functools import lru_cache
 from .isosearch import (
     SearchVerdict,
     _check_searchable,
-    check_box,
+    check_cells,
     search,
+    table_cells,
     verify,
 )
 from .polyring import Poly
@@ -531,7 +532,10 @@ def sweep_distinctness(
             rank_of[fid] = rank.setdefault(presentation_of(fid), len(rank))
             name[fid] = str(fid)
     ranks = [rank_of[b] for _, b, *_ in plan]
-    check_box(max(pres.ngens for pres in rank), bound)
+    # every presentation is a target of its self pair: refuse up front a
+    # sweep whose tables, or any of them, are above the search budget
+    for pres in rank:
+        check_cells(pres.ngens, bound, table_cells(pres, bound))
     verdicts: list = [None] * len(plan)
     for i in sorted(range(len(plan)), key=ranks.__getitem__):
         a, b = plan[i][:2]

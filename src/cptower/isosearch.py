@@ -19,8 +19,11 @@ Enumeration order is part of the contract: matrices are tried in
 lexicographic order of the column-major flattened entry vector, entries
 running -B..B, so runs are reproducible bit for bit.  The engine places
 whole columns left to right, each drawn from the box of (2B+1)^g candidate
-columns (a box above ``MAX_BOX_COLUMNS``, or a target ring of rank above
-``MAX_SEARCH_RANK``, is refused up front).  It skips no
+columns.  Everything a search holds is bounded by one budget,
+``MAX_SEARCH_CELLS``, counted from the Poincare series before anything is
+built (:func:`table_cells`): the box's power tables, the target's basis and
+the image indexes.  A search above it is refused up front, on the box alone
+whatever the pair, then on the target's tables.  The engine skips no
 certificate, so the first matrix it finds is the one the plain flat
 enumeration of the whole entry box finds; the tests compare the two
 engines directly.  Its work is split by what it depends on:
@@ -223,22 +226,32 @@ def compose(m_ab: Matrix, m_bc: Matrix) -> Matrix:
 
 # -- the search engine -----------------------------------------------------
 
-# The largest column box (2B+1)^g a search tabulates; a larger request is
-# refused before any table is built.
-MAX_BOX_COLUMNS = 100_000
-# The largest target rank a search tabulates, refused before any table is
-# built: the tables enumerate the whole basis (3 x CP^20, rank 9,261, takes
-# 0.3 s and 32 MB at bound 1; 3 x CP^30, rank 29,791, took 2.75 s and 117 MB).
-MAX_SEARCH_RANK = 10_000
+# The most cells a search holds: its target tables (:func:`table_cells`)
+# and the image indexes, which fill what the tables leave.  A larger search
+# is refused before any table is built.  One search of a target on itself,
+# Python 3.11: 3 x CP^20 at bound 2 (261,761 cells) takes 1.3 s and 85 MB
+# max RSS, (CP^1)^5 at bound 3 (252,137 cells) 0.4 s and 30 MB.
+MAX_SEARCH_CELLS = 300_000
 
 
-def check_box(g: int, bound: int) -> None:
-    """Refuse a search whose column box exceeds :data:`MAX_BOX_COLUMNS`."""
-    columns = (2 * bound + 1) ** g
-    if columns > MAX_BOX_COLUMNS:
+def table_cells(pres_b: RingPresentation, bound: int) -> int:
+    """The cells of the tables ``_BoxPowers`` builds for the target at
+    ``bound``: for each of the (2B+1)^g box columns the coordinates of its
+    powers L^1, ..., L^E, E = max(caps) + 1 (rank 0 past the top weight),
+    plus the graded basis of every weight, the target's rank in all."""
+    dims = pres_b.poincare()
+    powers = sum(dims[1:max(pres_b.caps) + 2])
+    return (2 * bound + 1) ** pres_b.ngens * powers + sum(dims)
+
+
+def check_cells(g: int, bound: int, cells: int) -> None:
+    """Refuse a search with ``g`` generators whose tables hold at least
+    ``cells`` cells, when that is above :data:`MAX_SEARCH_CELLS`."""
+    if cells > MAX_SEARCH_CELLS:
         raise ValueError(
-            f"bound {bound} with {g} generators gives a box of {columns} "
-            f"columns, above the limit of {MAX_BOX_COLUMNS}"
+            f"bound {bound} with {g} generators gives a box of "
+            f"{(2 * bound + 1) ** g} columns and tables of at least {cells} "
+            f"cells, above the limit of {MAX_SEARCH_CELLS}"
         )
 
 
@@ -496,10 +509,12 @@ class _BoxPowers:
     fill disjoint columns of A and below the top weight multiplying by a
     non-zero class q is injective (Poincare duality, the ring being
     generated in degree 2), so keying by q costs no extra builds.
-    ``index`` is an LRU of MAX_BOX_COLUMNS // len(columns) indexes (at
-    least one), so at most MAX_BOX_COLUMNS columns are indexed per target;
-    its ``cache_info()`` counts index builds (misses) and lookups of a
-    built index (hits).
+    The tables hold len(values) * len(columns) power values and the bases
+    of every weight, exactly :func:`table_cells`.  ``index`` is an LRU of
+    (MAX_SEARCH_CELLS - cells) // len(columns) indexes (at least one), so
+    the tables and the indexed columns stay within one budget of
+    :data:`MAX_SEARCH_CELLS` cells per target; its ``cache_info()`` counts
+    index builds (misses) and lookups of a built index (hits).
     """
 
     def __init__(self, pres_b: RingPresentation, bound: int):
@@ -519,10 +534,11 @@ class _BoxPowers:
         self.values = self._tabulate_powers(top)
         self.rows = list(zip(*self.values))  # per box column
         self.lanes = _Lanes(self.values)
+        cells = len(self.values) * len(self.columns) + sum(self.dims)
         # bound to the tables' parts, not to self, so no reference cycle
         # keeps them alive
         self.index = lru_cache(
-            maxsize=max(1, MAX_BOX_COLUMNS // len(self.columns))
+            maxsize=max(1, (MAX_SEARCH_CELLS - cells) // len(self.columns))
         )(partial(
             _node_index, self.lanes,
             [max(map(abs, v)) for v in self.values], self._folds,
@@ -677,12 +693,8 @@ def _search_matrices(
         raise IsoShapeError("search needs homogeneous relations")
     elif bound == 0:
         found = ()  # the box holds only the zero column, in no certificate
-    elif pres_b.rank > MAX_SEARCH_RANK:
-        raise ValueError(
-            f"the target ring has rank {pres_b.rank}, above the search "
-            f"limit of {MAX_SEARCH_RANK}"
-        )
     else:
+        check_cells(pres_b.ngens, bound, table_cells(pres_b, bound))
         found = _ColumnWalk(pres_a, _box_powers(pres_b, bound)).walk(
             0, [], {0: 1}
         )
@@ -701,11 +713,13 @@ def _check_searchable(pres_a: RingPresentation, pres_b: RingPresentation,
     degree-preserving unimodular map exists at any bound, so every search
     entry point short-circuits on False.  Every cap is at least 1, so the
     degree-2 rank is the generator count and different counts always give
-    False; the box is checked on the larger count, so an oversized request
-    is refused whatever the pair."""
+    False.  The tables' first power L^1 alone holds g cells per box column,
+    so they are checked on the larger count g, and an oversized request is
+    refused whatever the pair."""
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    check_box(max(pres_a.ngens, pres_b.ngens), bound)
+    g = max(pres_a.ngens, pres_b.ngens)
+    check_cells(g, bound, (2 * bound + 1) ** g * g)
     return pres_a.poincare() == pres_b.poincare()
 
 

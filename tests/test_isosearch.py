@@ -28,14 +28,16 @@ from cptower import (
 from cptower import isosearch
 from cptower.catalog import THEOREMS
 from cptower.isosearch import (
-    MAX_BOX_COLUMNS,
+    MAX_SEARCH_CELLS,
     _box_powers,
     _BoxPowers,
     _ColumnWalk,
     _image_index,
     _survivors,
     _wedge,
+    check_cells,
     images_from_matrix,
+    table_cells,
 )
 from conftest import cp, hirzebruch, pres, trivial_tower
 from oracles import (
@@ -206,7 +208,7 @@ def test_bound_zero_builds_no_tables(monkeypatch):
     assert search_all(ring, ring, 0) == []
 
 
-def test_search_refuses_a_target_above_the_rank_limit(monkeypatch):
+def test_search_refuses_tables_above_the_cell_budget(monkeypatch):
     # refused before any table is built; a Betti mismatch and a bound-0
     # search keep their verdicts
     def refuse(*args):
@@ -214,14 +216,58 @@ def test_search_refuses_a_target_above_the_rank_limit(monkeypatch):
 
     _box_powers.cache_clear()
     monkeypatch.setattr(isosearch, "_BoxPowers", refuse)
-    monkeypatch.setattr(isosearch, "MAX_SEARCH_RANK", 8)
-    ring = trivial_tower(2, 2)  # rank 9
+    big = trivial_tower(20, 20, 20)
+    with pytest.raises(ValueError, match="box of 343 columns and tables of "
+                       f"at least 702121 cells, above the limit of "
+                       f"{MAX_SEARCH_CELLS}"):
+        search(big, big, 3)
+    ring = trivial_tower(2, 2)  # 9 columns at bound 1, rank 9
+    assert table_cells(ring, 1) == 9 * (2 + 3 + 2) + 9
+    # above the box's pre-check (9 columns x 2 generators), below the tables
+    monkeypatch.setattr(isosearch, "MAX_SEARCH_CELLS", 71)
     for entry in (search, search_all):
-        with pytest.raises(ValueError, match="rank 9, above the search "
-                           "limit of 8"):
+        with pytest.raises(ValueError, match="box of 9 columns and tables "
+                           "of at least 72 cells, above the limit of 71"):
             entry(ring, ring, 1)
     assert search(ring, ring, 0).reason == "exhausted"
     assert search(ring, cp(4), 1).reason == "betti_mismatch"
+
+
+def test_the_cell_budget_admits_the_catalog():
+    # the check itself, with no search run: every catalog id (the cells
+    # depend on the Poincare series alone, the same at every range) and
+    # (CP^1)^5 pass at bound 3, 3 x CP^20 only up to bound 2
+    def legal(p, bound):
+        g = p.ngens
+        check_cells(g, bound, (2 * bound + 1) ** g * g)
+        check_cells(g, bound, table_cells(p, bound))
+        return True
+
+    for theorem in THEOREMS:
+        assert all(legal(presentation_of(fid), 3)
+                   for fid in families_for_theorem(theorem, 8))
+    assert table_cells(trivial_tower(1, 1, 1, 1, 1), 3) == 252_137
+    assert legal(trivial_tower(1, 1, 1, 1, 1), 3)
+    assert legal(trivial_tower(10, 10, 10, 10), 1)  # rank 14,641
+    big = trivial_tower(20, 20, 20)
+    assert [table_cells(big, b) for b in (1, 2, 3)] == [
+        63_801, 261_761, 702_121
+    ]
+    assert legal(big, 2)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_table_cells_count_what_the_tables_hold(bound):
+    # an id of every catalog family, then products
+    rings = [pres(fid) for fid in (
+        "CP3", "GB2:2", "Eta2:1,-2", "Zeta3:1,0,2", "Xi3:1,1,1", "M8:1,2",
+        "N8:3",
+    )]
+    rings += [cp(3), trivial_tower(1, 1, 1), trivial_tower(2, 2, 2)]
+    for p in rings:
+        t = _BoxPowers(p, bound)
+        held = len(t.values) * len(t.columns) + sum(map(len, t.bases))
+        assert held == table_cells(p, bound)
 
 
 def test_rejected_certificate_raises(monkeypatch):
@@ -552,14 +598,15 @@ def test_wedge_holds_every_maximal_minor(g, data):
 
 
 def test_index_store_is_bounded(monkeypatch):
-    # room for two indexes of a 27-column box: searches still match the
-    # reference while the store evicts
-    monkeypatch.setattr(isosearch, "MAX_BOX_COLUMNS", 2 * 27)
+    # room for two indexes of a 27-column box beside the tables: searches
+    # still match the reference while the store evicts
     _box_powers.cache_clear()
     try:
         for a, b in (("Zeta3:1,0,2", "Zeta3:0,1,2"),
                      ("Zeta3:1,0,0", "Xi3:0,0,0")):
             pa, pb = pres(a), pres(b)
+            monkeypatch.setattr(isosearch, "MAX_SEARCH_CELLS",
+                                table_cells(pb, 1) + 2 * 27)
             assert search_all(pa, pb, 1) == search_all_reference(pa, pb, 1)
             info = _box_powers(pb, 1).index.cache_info()  # the slot
             assert info.maxsize == 2 and info.currsize <= 2
@@ -654,7 +701,7 @@ def test_interleaved_searches_match_reference():
 
 def test_search_refuses_an_oversized_box():
     a = pres("Zeta3:1,0,2")
-    assert 201 ** 3 > MAX_BOX_COLUMNS
+    assert 201 ** 3 * 3 > MAX_SEARCH_CELLS
     for run in (search, search_all, search_all_reference):
         with pytest.raises(ValueError, match="box of 8120601 columns"):
             run(a, a, 100)
@@ -683,6 +730,33 @@ def test_search_symmetry_for_two_generators():
     pairs = [("GB2:1", "GB2:2"), ("GB2:0", "Eta2:0,0"), ("Eta2:0,2", "Eta2:0,-2")]
     for a, b in pairs:
         assert search(pres(a), pres(b), 2).found == search(pres(b), pres(a), 2).found
+
+
+def test_search_all_is_closed_under_negation():
+    # -M is a certificate with M (|det| kept, each homogeneous relation's
+    # image only changes sign), and negation reverses the contract order,
+    # in which every column whose first non-zero entry is negative comes
+    # before every column whose first non-zero entry is positive: so the
+    # list is H, then the negations of H reversed
+    def negative(col):
+        return next(x for x in col if x) < 0
+
+    pairs = certificates = 0
+    for theorem, n in (("three-stage", 1), ("eight-dim", 2)):
+        rings = [presentation_of(fid)
+                 for fid in families_for_theorem(theorem, n)]
+        for a, b in itertools.product(rings, repeat=2):
+            if a.poincare() != b.poincare():
+                continue
+            pairs += 1
+            found = search_all(a, b, 2)
+            certificates += len(found)
+            head = [m for m in found if negative([row[0] for row in m])]
+            assert found == head + [
+                tuple(tuple(-x for x in row) for row in m)
+                for m in reversed(head)
+            ]
+    assert (pairs, certificates) == (346, 308)
 
 
 def test_search_monotone_in_bound():
