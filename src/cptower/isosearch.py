@@ -19,11 +19,13 @@ Enumeration order is part of the contract: matrices are tried in
 lexicographic order of the column-major flattened entry vector, entries
 running -B..B, so runs are reproducible bit for bit.  The engine places
 whole columns left to right, each drawn from the box of (2B+1)^g candidate
-columns.  Everything a search holds is bounded by one budget,
-``MAX_SEARCH_CELLS``, counted from the Poincare series before anything is
-built (:func:`table_cells`): the box's power tables, the target's basis and
-the image indexes.  A search above it is refused up front, on the box alone
-whatever the pair, then on the target's tables.  The engine skips no
+columns.  One budget, ``MAX_SEARCH_CELLS``, bounds the box's power
+tables, the target's basis and the number of image indexes kept, counted
+from the Poincare series before anything is built (:func:`table_cells`).
+A search above it is refused up front, on the box alone whatever the pair,
+then on the target's tables.  The budget does not count the packed power
+coordinates (``_Lanes``), whose lanes grow with the packed images: 3 x
+CP^20 at bound 2 is within it and took 85 MB.  The engine skips no
 certificate, so the first matrix it finds is the one the plain flat
 enumeration of the whole entry box finds; the tests compare the two
 engines directly.  Its work is split by what it depends on:
@@ -46,16 +48,17 @@ engines directly.  Its work is split by what it depends on:
     prefix powers, by ``fold``).  By ``fold`` again they fold into one
     dense integer matrix A and one target vector t such that the image
     at candidate c vanishes exactly when A (L_c, L_c^2, ...) = t.  The same
-    A recurs at many nodes, so each target keeps an index per A that lists
-    the box columns in the order of their image, packed into one exact
-    integer.  It is built for all columns at once: the target also keeps
-    its power values as big integers with one lane of bits per box column
-    (``_Lanes``), so a few big-integer products put every column's packed
-    image and box index in its lane, and one plain sort of the lanes
-    orders them (``_image_index``).  The index is keyed by the node's
-    non-zero q_e, e >= 1, which fix A, so A is built only when its index
-    is; a node's surviving columns are one lookup of t, at every depth.
-    Each node also
+    A recurs at many nodes, so each target keeps an index per A: one
+    sorted list of lanes, each a column's image, packed into one exact
+    integer, with the column's box index in its low bits.  It is built for
+    all columns at once: the target also keeps its power values as big
+    integers with one lane of bits per box column (``_Lanes``), so a few
+    big-integer products put every column's lane in place, and one plain
+    sort of the lanes is the index (``_image_index``).  The index is keyed
+    by the node's non-zero q_e, e >= 1, which fix A, so A is built only
+    when its index is.  A node's surviving columns are one slice, found by
+    bisection at t and t + 1 (``_survivors``), at every depth, of a list of
+    box indices that the build masks from the sorted lanes.  Each node also
     carries the exterior product of its placed columns (``_wedge``: every
     maximal minor, keyed by its row set); a candidate that empties it makes
     the placed columns linearly dependent, so every completion has det 0
@@ -73,12 +76,12 @@ from __future__ import annotations
 import sys
 import weakref
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from functools import lru_cache, partial
 from itertools import product, repeat
-from operator import add, and_, mul, neg, rshift, sub
+from operator import add, and_, mul, neg, sub
 
 from .polyring import Poly
 from .towers import RingPresentation, matrix_det
@@ -226,11 +229,14 @@ def compose(m_ab: Matrix, m_bc: Matrix) -> Matrix:
 
 # -- the search engine -----------------------------------------------------
 
-# The most cells a search holds: its target tables (:func:`table_cells`)
-# and the image indexes, which fill what the tables leave.  A larger search
-# is refused before any table is built.  One search of a target on itself,
-# Python 3.11: 3 x CP^20 at bound 2 (261,761 cells) takes 1.3 s and 85 MB
-# max RSS, (CP^1)^5 at bound 3 (252,137 cells) 0.4 s and 30 MB.
+# The most cells of a search's target tables (:func:`table_cells`) and
+# image indexes, which fill what the tables leave.  A larger search is
+# refused before any table is built.  The packed coordinates of ``_Lanes``
+# are not counted.  One search of a target on itself, Python 3.11: 3 x
+# CP^20 at bound 2 (261,761 cells) takes 1.3 s and 85 MB max RSS, of which
+# 25 MB once its tables are built, and the rest mostly the packed
+# coordinates of its first index; (CP^1)^5 at bound 3 (252,137 cells) 0.4 s
+# and 30 MB.
 MAX_SEARCH_CELLS = 300_000
 
 
@@ -398,34 +404,35 @@ class _Lanes:
 
 
 def _image_index(lanes: _Lanes, peaks: list, a: tuple) -> tuple:
-    """(limits, radix, keys, order): the image index of the folded matrix
-    ``a`` over the box.
+    """(limits, radix, shift, packed, order): the image index of the folded
+    matrix ``a`` over the box.
 
     Row j of the image of box column idx is sum_p a[j][p] * values[p][idx],
     which lies in [-limits[j], limits[j]] with limits[j] = sum_p |a[j][p]| *
     peaks[p].  With radix = 2 * max(limits) + 1 the image packs exactly into
     the integer sum_j radix^j * image_j, of absolute value at most mid =
-    radix^n // 2.  ``order`` lists the box indices by packed image,
-    ascending indices within one image, and ``keys`` the packed images in
-    that order, so the columns with one image are a slice found by
-    bisection.
+    radix^n // 2.  With shift s = (columns - 1).bit_length(), ``packed`` is
+    the one sorted list of the values v = packed image << s | idx over every
+    box column: ascending by packed image, ascending idx within one image.
+    So the columns with image t are the values in [t << s, (t + 1) << s),
+    one slice found by bisection.  ``order`` is the same list masked down
+    to the low s bits, the box indices, which is what the walk reads.
 
-    All columns are packed at once, in one lane of W bits each: with s =
-    (columns - 1).bit_length() and w_p = sum_j a[j][p] * radix^j, the lane
-    of column idx in T = (sum_p w_p * B_p << s) + I (B_p, R, I and M are
-    the ``lanes``) is v = packed image << s | idx, a signed value.  W
+    All columns are packed at once, in one lane of W bits each: with w_p =
+    sum_j a[j][p] * radix^j, the lane of column idx in T = (sum_p w_p * B_p
+    << s) + I (B_p, R, I and M are the ``lanes``) is v, a signed value.  W
     holds mid << s | (columns - 1) and a sign bit, so every v + 2^(W - 1)
     lies in [0, 2^W): T + M has no lane borrowing from the next, and
     (T + M) ^ M clears the added bit again, leaving each v in two's
-    complement.  Its lanes, read back and plainly sorted, give ``keys``
-    (v >> s) and ``order`` (v's low s bits).  A coordinate p with w_p != 0
-    has 2 * peaks[p] < radix <= 2^W, so its values fit their lanes too.
+    complement.  Its lanes, read back and plainly sorted, are ``packed``.
+    A coordinate p with w_p != 0 has 2 * peaks[p] < radix <= 2^W, so its
+    values fit their lanes too.
     """
-    limits = [sum(abs(x) * m for x, m in zip(row, peaks)) for row in a]
+    limits = [sum(map(mul, map(abs, row), peaks)) for row in a]
     radix = 2 * max(limits, default=0) + 1
     weights = [0] * len(peaks)
     for row in reversed(a):
-        weights = [w * radix + x for w, x in zip(weights, row)]
+        weights = list(map(add, map(radix.__mul__, weights), row))
     n = len(lanes.values[0])
     shift = (n - 1).bit_length()
     bits = (radix ** len(a) // 2 << shift | n - 1).bit_length() + 1
@@ -437,11 +444,11 @@ def _image_index(lanes: _Lanes, peaks: list, a: tuple) -> tuple:
             total += w * lanes.coordinate(size, p)
     packed = _unpack(((total << shift) + indices + signs) ^ signs, n, size)
     packed.sort()
-    return (
-        limits, radix,
-        list(map(rshift, packed, repeat(shift))),
-        list(map(and_, packed, repeat((1 << shift) - 1))),
-    )
+    # the box indices, masked once per build: the walk reads them at every
+    # lookup, and masking a lane at each read costs more there, as the sort
+    # has scattered the lane objects
+    return (limits, radix, shift, packed,
+            list(map(and_, packed, repeat((1 << shift) - 1))))
 
 
 def _node_index(lanes: _Lanes, peaks: list, folds: dict, key: tuple) -> tuple:
@@ -462,17 +469,19 @@ def _node_index(lanes: _Lanes, peaks: list, folds: dict, key: tuple) -> tuple:
 def _survivors(index: tuple, target: tuple) -> Sequence[int]:
     """Box indices idx, ascending, whose image under the folded matrix A of
     ``index`` (an :func:`_image_index`) is ``target``: sum_p A[j][p] *
-    values[p][idx] == target[j] for every row j.  The target is packed
+    values[p][idx] == target[j] for every row j.  The target is packed to t
     once every digit is within its limit (a digit out of reach could alias
-    another image), and looked up by bisection."""
-    limits, radix, keys, order = index
-    packed = 0
+    another image).  Its columns' lanes are the values of ``packed`` in
+    [t << shift, (t + 1) << shift), found by bisection, and ``order`` holds
+    their box indices at the same positions."""
+    limits, radix, shift, packed, order = index
+    key = 0
     for t, limit in zip(reversed(target), reversed(limits)):
         if abs(t) > limit:
             return ()  # out of reach, and its packing would alias
-        packed = packed * radix + t
-    lo = bisect_left(keys, packed)
-    return order[lo:bisect_right(keys, packed, lo)]
+        key = key * radix + t
+    lo = bisect_left(packed, key << shift)
+    return order[lo:bisect_left(packed, (key + 1) << shift, lo)]
 
 
 class _BoxPowers:
@@ -496,24 +505,26 @@ class _BoxPowers:
     ``lanes`` holds the same values packed into big integers, one lane of
     bits per box column (:class:`_Lanes`), made on first use: per lane
     width in use, one integer of len(columns) lanes per coordinate an
-    index weights.
+    index weights.  These are not counted in the budget below.
     ``index(key)`` is the image index of the folded matrix A a walk node's
-    key names (``_ColumnWalk.node_rows``): the box indices sorted by their
-    image under A, packed into one exact integer and computed for all
-    columns at once in the lanes (see :func:`_image_index` and
-    :func:`_survivors`).  The key is (n, ((a, e), q), ...), n the rank
-    of the relation's weight and q the non-zero prefix values of each part
-    x_d^e with e >= 1, a the weight of q.  A is built from ``fold(a, e)``
-    only when the key misses.  A key fixes A; conversely, for one relation
+    key names (``_ColumnWalk.node_rows``): one sorted list with a lane per
+    box column, its image under A packed into one exact integer, shifted
+    left past the column's box index, plus those box indices in the same
+    order; computed for all columns at once in the lanes (see
+    :func:`_image_index` and :func:`_survivors`).  The key is (n, ((a, e),
+    q), ...), n the rank of the relation's weight and q the non-zero
+    prefix values of each part x_d^e with e >= 1, a the weight of q.  A is
+    built from ``fold(a, e)`` only when the key misses.  A key fixes A; conversely, for one relation
     weight, different keys give different A, as the blocks for different e
     fill disjoint columns of A and below the top weight multiplying by a
     non-zero class q is injective (Poincare duality, the ring being
     generated in degree 2), so keying by q costs no extra builds.
     The tables hold len(values) * len(columns) power values and the bases
     of every weight, exactly :func:`table_cells`.  ``index`` is an LRU of
-    (MAX_SEARCH_CELLS - cells) // len(columns) indexes (at least one), so
-    the tables and the indexed columns stay within one budget of
-    :data:`MAX_SEARCH_CELLS` cells per target; its ``cache_info()`` counts
+    (MAX_SEARCH_CELLS - cells) // len(columns) indexes (at least one), one
+    lane per column each, so the tables and the indexed columns stay within
+    one budget of :data:`MAX_SEARCH_CELLS` cells per target, the packed
+    coordinates of ``lanes`` apart; its ``cache_info()`` counts
     index builds (misses) and lookups of a built index (hits).
     """
 

@@ -68,15 +68,16 @@ def node_survivors_by_substitution(
 
 
 def image_index_reference(values: list, peaks: list, a: tuple) -> tuple:
-    """(limits, radix, keys, order): the image index of the folded matrix
-    ``a`` over the box, built column by column.
+    """(limits, radix, shift, packed, order): the image index of the folded
+    matrix ``a`` over the box, built column by column.
 
     Row j of the image of box column idx is sum_p a[j][p] * values[p][idx],
     which lies in [-limits[j], limits[j]] with limits[j] = sum_p |a[j][p]| *
     peaks[p].  With radix = 2 * max(limits) + 1 the image packs exactly into
-    the integer sum_j radix^j * image_j.  ``order`` lists the box indices by
-    packed image, ascending indices within one image (the sort is stable),
-    and ``keys`` the packed images in that order.
+    the integer sum_j radix^j * image_j.  ``order`` lists the box indices
+    by packed image, ascending indices within one image (the sort is
+    stable), and with shift = (columns - 1).bit_length(), ``packed`` the
+    values packed image << shift | idx in that order.
     """
     limits = [sum(abs(x) * m for x, m in zip(row, peaks)) for row in a]
     radix = 2 * max(limits, default=0) + 1
@@ -86,8 +87,10 @@ def image_index_reference(values: list, peaks: list, a: tuple) -> tuple:
     images = list(_lincomb(
         len(values[0]), ((w, values[p]) for p, w in enumerate(weights) if w)
     ))
+    shift = (len(images) - 1).bit_length()
     order = sorted(range(len(images)), key=images.__getitem__)  # stable
-    return limits, radix, list(map(images.__getitem__, order)), order
+    packed = [images[idx] << shift | idx for idx in order]
+    return limits, radix, shift, packed, order
 
 
 def _lincomb(n: int, terms):

@@ -33,6 +33,7 @@ from cptower.isosearch import (
     _BoxPowers,
     _ColumnWalk,
     _image_index,
+    _Lanes,
     _survivors,
     _wedge,
     check_cells,
@@ -336,9 +337,11 @@ def test_pruned_engine_matches_reference(monkeypatch, a, b, bound):
         _box_powers.cache_clear()
     assert indexes
     if (a, b, bound) == ("GB2:2", "GB2:1", 2):
-        # sorted packed images: two equal neighbours share one key
+        # sorted lanes: two neighbours share one packed image
         assert any(
-            x == y for _, _, keys, _ in indexes for x, y in zip(keys, keys[1:])
+            x >> shift == y >> shift
+            for _, _, shift, packed, _ in indexes
+            for x, y in zip(packed, packed[1:])
         )
 
 
@@ -547,6 +550,65 @@ def test_node_survivors_match_substitution(g, bound, data):
     assert list(_survivors(tables.index(key), target)) == (
         node_survivors_by_substitution(pa, pb, bound, prefix)
     )
+
+
+@pytest.mark.parametrize("a", [((1,),), ((-1,),), ((2,),), ((1,), (-1,))])
+def test_lookup_stops_at_the_next_image(a):
+    # 8 columns, so the last one (idx 7) sets every mask bit; a box has
+    # (2B+1)^g columns, an odd count, so no box column does.  Under a =
+    # ((1,),) column 7 has image -1, and its lane -1 << 3 | 7 = -1 sits
+    # right below column 0's lane 0 << 3 | 0 = 0, the upper bound of image
+    # -1: adjacent images, negative ones among them, split exactly there
+    values = [[0, -3, -2, -1, -1, 2, -2, -1]]
+    n = len(values[0])
+    index = _image_index(_Lanes(values), [3], a)
+    assert index == image_index_reference(values, [3], a)
+    limits, _, shift, packed, _ = index
+    assert shift == 3
+    if a == ((1,),):
+        assert packed[packed.index(-1) + 1] == 0
+
+    def image(idx):
+        return tuple(row[0] * values[0][idx] for row in a)
+
+    reach = range(-limits[0] - 1, limits[0] + 2)
+    for target in itertools.product(reach, repeat=len(a)):
+        assert list(_survivors(index, target)) == [
+            idx for idx in range(n) if image(idx) == target
+        ]
+
+
+def test_index_over_2401_columns_in_8_byte_lanes():
+    # g = 4 at bound 3: 2,401 columns, shift 12; a two-row A whose lanes
+    # need more than 32 bits, so they are 8 bytes wide.  Every image any
+    # column reaches finds exactly its columns, and so do targets next to
+    # them and past the limits
+    tables = _BoxPowers(trivial_tower(1, 1, 1, 1), 3)
+    values, n = tables.values, len(tables.columns)
+    assert n == 2401
+    peaks = [max(map(abs, v)) for v in values]
+    width = len(values)
+    a = (
+        tuple([1, -2, 0, 3] + [7] * (width - 4)),
+        tuple([0, 1, 1, 0] + [-5, 0, 3, 0, 0, 6][:width - 4]),
+    )
+    index = _image_index(tables.lanes, peaks, a)
+    limits, radix, shift, _, _ = index
+    assert shift == 12
+    assert 32 < (radix ** 2 // 2 << shift | n - 1).bit_length() + 1 <= 64
+    assert index == image_index_reference(values, peaks, a)
+    columns = {}
+    for idx in range(n):
+        image = tuple(sum(x * values[p][idx] for p, x in enumerate(row))
+                      for row in a)
+        columns.setdefault(image, []).append(idx)
+    targets = set(columns)
+    for t0, t1 in list(columns):
+        targets |= {(t0 + 1, t1), (t0 - 1, t1), (t0, t1 + 1), (t0, t1 - 1),
+                    (t0 + radix, t1 - 1)}  # the last one aliases (t0, t1)
+    targets |= {(limits[0] + 1, 0), (0, -limits[1] - 1)}
+    for target in targets:
+        assert list(_survivors(index, target)) == columns.get(target, [])
 
 
 def _rank(cols):
