@@ -107,7 +107,7 @@ def parse_poly_text(text: str, nvars: int, names=None) -> Poly:
     s = text.replace(" ", "").replace("*", "")
     if not s:
         raise ValueError("empty polynomial")
-    total = Poly.zero(nvars)
+    terms: dict = {}  # one dict for every term, so linear in their count
     for chunk in re.findall(r"[+-]?[^+-]+|[+-]", s):
         sign = 1
         body = chunk
@@ -125,8 +125,9 @@ def parse_poly_text(text: str, nvars: int, names=None) -> Poly:
             r"([a-zA-Z][0-9]*)(?:\^([0-9]+))?", m.group(2) or ""
         ):
             exps[_var_index(fac.group(1), names)] += int(fac.group(2) or "1")
-        total = total + Poly(nvars, {tuple(exps): sign * coeff})
-    return total
+        mono = tuple(exps)
+        terms[mono] = terms.get(mono, 0) + sign * coeff
+    return Poly(nvars, terms)  # which drops the zero sums
 
 
 def _format_monomial(mono, names) -> str:

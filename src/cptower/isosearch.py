@@ -21,13 +21,14 @@ running -B..B, so runs are reproducible bit for bit.  The engine places
 whole columns left to right, each drawn from the box of (2B+1)^g candidate
 columns.  One budget, ``MAX_SEARCH_CELLS``, bounds the box's power
 tables, the target's basis and the number of image indexes kept, counted
-from the Poincare series before anything is built (:func:`table_cells`).
-A search above it is refused up front, on the box alone whatever the pair,
-then on the target's tables.  The budget does not count the packed power
-coordinates (``_Lanes``), whose lanes grow with the packed images: 3 x
-CP^20 at bound 2 is within it and took 85 MB.  The engine skips no
-certificate, so the first matrix it finds is the one the plain flat
-enumeration of the whole entry box finds; the tests compare the two
+from the Poincare series before anything is built (:func:`table_cells`),
+and the memo of interior walk nodes fills what the tables and indexes
+leave.  A search above it is refused up front, on the box alone whatever
+the pair, then on the target's tables.  The budget does not count the
+packed power coordinates (``_Lanes``), whose lanes grow with the packed
+images: 3 x CP^20 at bound 2 is within it and took 85 MB.  The engine
+skips no certificate, so the first matrix it finds is the one the plain
+flat enumeration of the whole entry box finds; the tests compare the two
 engines directly.  Its work is split by what it depends on:
 
 (a) per target, shared by consecutive searches: the powers L_c, L_c^2, ...
@@ -62,7 +63,12 @@ engines directly.  Its work is split by what it depends on:
     carries the exterior product of its placed columns (``_wedge``: every
     maximal minor, keyed by its row set); a candidate that empties it makes
     the placed columns linearly dependent, so every completion has det 0
-    and it is dropped;
+    and it is dropped.  An interior node (depth 1 to g - 2) depends only
+    on its source relation and its prefix, so the target keeps the
+    children it found, each a box index with its grown wedge, keyed by
+    (relation, prefix box indices), and every later source with that
+    relation at that depth reads them back (``_BoxPowers.memo``); the memo
+    shares the budget with the indexes;
 (c) at the last depth det M = cof . c is linear in the last column c, with
     cof[i] = (-1)^(g-1-i) times the wedge's minor on every row but i, so
     the survivors are kept when cof . c = +-1.
@@ -77,11 +83,11 @@ import sys
 import weakref
 from array import array
 from bisect import bisect_left
-from collections import namedtuple
+from collections import OrderedDict, namedtuple
 from collections.abc import Iterator, Sequence
 from functools import lru_cache, partial
 from itertools import product, repeat
-from operator import add, and_, mul, neg, sub
+from operator import add, and_, itemgetter, mul, neg, sub
 
 from .polyring import Poly
 from .towers import RingPresentation, matrix_det
@@ -229,14 +235,14 @@ def compose(m_ab: Matrix, m_bc: Matrix) -> Matrix:
 
 # -- the search engine -----------------------------------------------------
 
-# The most cells of a search's target tables (:func:`table_cells`) and
-# image indexes, which fill what the tables leave.  A larger search is
-# refused before any table is built.  The packed coordinates of ``_Lanes``
-# are not counted.  One search of a target on itself, Python 3.11: 3 x
-# CP^20 at bound 2 (261,761 cells) takes 1.3 s and 85 MB max RSS, of which
-# 25 MB once its tables are built, and the rest mostly the packed
-# coordinates of its first index; (CP^1)^5 at bound 3 (252,137 cells) 0.4 s
-# and 30 MB.
+# The most cells of a search's target tables (:func:`table_cells`), image
+# indexes and memo of interior walk nodes, which fill what the tables
+# leave.  A larger search is refused before any table is built.  The
+# packed coordinates of ``_Lanes`` are not counted.  One search of a
+# target on itself, Python 3.11: 3 x CP^20 at bound 2 (261,761 cells) takes
+# 1.3 s and 85 MB max RSS, of which 25 MB once its tables are built, and
+# the rest mostly the packed coordinates of its first index; (CP^1)^5 at
+# bound 3 (252,137 cells) 0.4 s and 30 MB.
 MAX_SEARCH_CELLS = 300_000
 
 
@@ -451,11 +457,13 @@ def _image_index(lanes: _Lanes, peaks: list, a: tuple) -> tuple:
             list(map(and_, packed, repeat((1 << shift) - 1))))
 
 
-def _node_index(lanes: _Lanes, peaks: list, folds: dict, key: tuple) -> tuple:
+def _node_index(lanes: _Lanes, peaks: list, folds: dict, memo: "_NodeMemo",
+                key: tuple) -> tuple:
     """The image index of the folded matrix A that a node key (n, ((a, e),
     q), ...) names: A has n rows over the power coordinates, and each part
     adds the prefix values q times its fold ``folds[(a, e)]`` (see
-    ``_BoxPowers.fold``)."""
+    ``_BoxPowers.fold``).  The index takes its cells from ``memo``."""
+    memo.index_built()
     n, *parts = key
     mat = [[0] * len(peaks) for _ in range(n)]
     for part, q in parts:
@@ -482,6 +490,48 @@ def _survivors(index: tuple, target: tuple) -> Sequence[int]:
         key = key * radix + t
     lo = bisect_left(packed, key << shift)
     return order[lo:bisect_left(packed, (key + 1) << shift, lo)]
+
+
+def _children_cells(children: list) -> int:
+    """The cells a memo entry holds: one for the node and, per child, one
+    for its box index and one per minor of its wedge."""
+    return 1 + len(children) + sum(map(len, map(itemgetter(1), children)))
+
+
+class _NodeMemo(OrderedDict):
+    """The children of interior walk nodes, oldest first (see
+    ``_BoxPowers``).  ``room`` is what the tables and the indexes built so
+    far leave of the budget, and ``cells`` what the entries hold; an entry
+    that does not fit drops the oldest ones first, and so does an index
+    build that takes cells from ``room``."""
+
+    def __init__(self, room: int, width: int, slots: int):
+        super().__init__()
+        self.room, self.cells = room, 0
+        # each index takes ``width`` cells, and the LRU has ``slots``
+        self._width, self._unbuilt = width, slots
+
+    def _fit(self, cells: int) -> bool:
+        while self and self.cells + cells > self.room:
+            self.cells -= _children_cells(self.popitem(last=False)[1])
+        return self.cells + cells <= self.room
+
+    def index_built(self) -> None:
+        """An index of one lane per box column was built: until the index
+        LRU is full, its cells come out of the memo's room."""
+        if self._unbuilt:
+            self._unbuilt -= 1
+            self.room -= self._width
+            if self.cells > self.room:
+                self._fit(0)
+
+    def keep(self, key: tuple, children: list) -> list:
+        """Store ``children`` under ``key`` if they fit; return them."""
+        cells = _children_cells(children)
+        if self._fit(cells):
+            self[key] = children
+            self.cells += cells
+        return children
 
 
 class _BoxPowers:
@@ -526,6 +576,19 @@ class _BoxPowers:
     one budget of :data:`MAX_SEARCH_CELLS` cells per target, the packed
     coordinates of ``lanes`` apart; its ``cache_info()`` counts
     index builds (misses) and lookups of a built index (hits).
+
+    ``memo`` (a :class:`_NodeMemo`) shares that budget: it maps an interior
+    node, depth 1 <= d <= g - 2, keyed by (source relation d, the prefix's
+    box indices), to its children in walk order, each (box index, grown
+    wedge) with the dependent columns dropped.  Those depend on nothing
+    else, so the sources of a sweep that share a relation (every
+    three-stage source has relation 1 in one of two forms) walk each such
+    node once per target.  An entry counts one cell for the node and, per
+    child, one for its box index and one per minor of its wedge.  The memo
+    holds what the tables and the indexes built so far leave of the
+    budget: an entry that does not fit drops the oldest ones first, and so
+    does each index build that takes its cells from the memo's room, until
+    the LRU is full.
     """
 
     def __init__(self, pres_b: RingPresentation, bound: int):
@@ -546,13 +609,14 @@ class _BoxPowers:
         self.rows = list(zip(*self.values))  # per box column
         self.lanes = _Lanes(self.values)
         cells = len(self.values) * len(self.columns) + sum(self.dims)
+        room = MAX_SEARCH_CELLS - cells
+        slots = max(1, room // len(self.columns))
+        self.memo = _NodeMemo(room, len(self.columns), slots)
         # bound to the tables' parts, not to self, so no reference cycle
         # keeps them alive
-        self.index = lru_cache(
-            maxsize=max(1, (MAX_SEARCH_CELLS - cells) // len(self.columns))
-        )(partial(
+        self.index = lru_cache(maxsize=slots)(partial(
             _node_index, self.lanes,
-            [max(map(abs, v)) for v in self.values], self._folds,
+            [max(map(abs, v)) for v in self.values], self._folds, self.memo,
         ))
 
     def fold(self, a: int, e: int) -> list:
@@ -613,11 +677,16 @@ class _ColumnWalk:
     ``walk`` carries the wedge of the placed columns (``_wedge``), from
     ``{0: 1}``: a survivor that empties it is dependent and is skipped.
     With g - 1 columns placed, cof[i] = (-1)^(g-1-i) times its minor on
-    every row but i, so det M = cof . c with no further determinant.
+    every row but i, so det M = cof . c with no further determinant.  At an
+    interior node the surviving columns and their wedges come from the
+    target's ``memo`` when an earlier walk with the same relation at that
+    depth met the node (``children`` fills it).
     """
 
     def __init__(self, pres_a: RingPresentation, tables: _BoxPowers):
         self.tables = tables
+        # relation d by content, sorted terms (hashed in C): the memo key
+        self.relation_keys = pres_a.identity[1]
         dims = tables.dims
         # per depth: the rank n of the relation's weight and, per part, the
         # rank of the prefix part's weight and the fold (a, e) of x_depth^e
@@ -667,12 +736,34 @@ class _ColumnWalk:
                 key.append((part, tuple(q)))
         return tuple(key), target
 
+    def children(self, depth: int, cols: list, wedge: dict) -> list:
+        """(box index, grown wedge) of each survivor of the node that keeps
+        the placed columns independent, ascending."""
+        columns = self.tables.columns
+        key, target = self.node_rows(depth, cols)
+        return [(idx, grown)
+                for idx in _survivors(self.tables.index(key), target)
+                if (grown := _wedge(wedge, columns[idx]))]
+
     def walk(self, depth: int, cols: list, wedge: dict
              ) -> Iterator[tuple[Matrix, int]]:
-        columns, g = self.tables.columns, self.tables.g
+        tables = self.tables
+        columns, g = tables.columns, tables.g
+        if 0 < depth < g - 1:
+            # root and last level unshared until ROADMAP item 1 (RSS per pass)
+            key = (self.relation_keys[depth], *cols)
+            children = tables.memo.get(key)
+            if children is None:
+                children = tables.memo.keep(
+                    key, self.children(depth, cols, wedge)
+                )
+            for idx, grown in children:
+                yield from self.walk(depth + 1, cols + [idx], grown)
+            return
         key, target = self.node_rows(depth, cols)
-        hits = _survivors(self.tables.index(key), target)
+        hits = _survivors(tables.index(key), target)
         if depth < g - 1:
+            # the root grows wedges lazily, as a search may stop early
             for idx in hits:
                 grown = _wedge(wedge, columns[idx])
                 if grown:

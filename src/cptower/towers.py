@@ -48,6 +48,12 @@ MAX_FIBER_DIM = 1_000
 # limit takes about 70 MB and under 1 s; (CP^1)^1100 in degree 2 has 1.21
 # million.
 MAX_BASIS_EXPONENTS = 2_000_000
+# The most exponents a tower's presentation writes: g stages give g
+# relations, relation k one term more than stage k has Chern terms, each
+# term g exponents, so g * (g + Chern terms) in all.  Checked before
+# anything is built; (CP^1)^1100 writes 1.21 million, and ``cpt ring`` of
+# 4,000 CP^1 stages (16 million) took 3.7 s and 150 MB before the limit.
+MAX_TOWER_EXPONENTS = 2_000_000
 
 
 class Stage(namedtuple("Stage", "fiber_dim chern")):
@@ -93,6 +99,17 @@ def _check_stage(idx: int, stage: Stage) -> None:
             )
 
 
+def _check_tower_size(g: int, terms: int) -> None:
+    """Refuse a tower of ``g`` stages with ``terms`` Chern terms in all
+    whose presentation is above :data:`MAX_TOWER_EXPONENTS`."""
+    if g * (g + terms) > MAX_TOWER_EXPONENTS:
+        raise TowerSpecError(
+            f"a tower of {g} stages and {terms} chern terms has "
+            f"{g * (g + terms)} presentation exponents, above the limit of "
+            f"{MAX_TOWER_EXPONENTS}"
+        )
+
+
 class TowerSpec(namedtuple("TowerSpec", "stages")):
     """A tower's stages, checked on every path (``_make``, ``_replace``,
     unpickling too); as a namedtuple it also equals ``(stages,)``."""
@@ -102,6 +119,9 @@ class TowerSpec(namedtuple("TowerSpec", "stages")):
     def __new__(cls, stages):
         for idx, stage in enumerate(stages, start=1):
             _check_stage(idx, stage)
+        _check_tower_size(len(stages), sum(
+            len(c.terms) for stage in stages for c in stage.chern
+        ))
         return super().__new__(cls, stages)
 
     # namedtuple's _make, which _replace calls, would skip the checks
@@ -466,6 +486,14 @@ def towerspec_from_json(data) -> TowerSpec:
     stages_raw = data.get("stages")
     if not isinstance(stages_raw, list) or not stages_raw:
         raise TowerSpecError("tower spec needs a non-empty 'stages' list")
+    # the Chern terms as listed, before any is read (a malformed entry counts
+    # none and is refused below)
+    _check_tower_size(len(stages_raw), sum(
+        len(entry)
+        for raw in stages_raw if isinstance(raw, dict)
+        and isinstance(raw.get("chern"), list)
+        for entry in raw["chern"] if isinstance(entry, list)
+    ))
     stages: list[Stage] = []
     for idx, raw in enumerate(stages_raw, start=1):
         if not isinstance(raw, dict):

@@ -460,6 +460,48 @@ def test_sweep_builds_each_image_index_once(monkeypatch):
     assert sum(i.hits for i in infos) > len(built)
 
 
+@pytest.mark.parametrize("shared, nodes, wedges", [
+    (True, 262, 4_582),
+    # every search walks its interior level again; 114 more wedges than
+    # the lazy walk without a memo took (16,770), as a stored list holds
+    # every child, also past a search's first certificate
+    (False, 1_433, 16_884),
+])
+def test_sweep_shares_interior_nodes_across_sources(
+    monkeypatch, shared, nodes, wedges
+):
+    # three-stage sources share relation 0 = x_0^2 and two forms of
+    # relation 1: a target's memo walks each depth-1 node once per form,
+    # whichever source meets it first, and the report stays byte for byte
+    rows, wedge_calls = Counter(), []
+    node_rows, wedge = isosearch._ColumnWalk.node_rows, isosearch._wedge
+
+    def counting_rows(self, depth, cols):
+        rows[depth] += 1
+        return node_rows(self, depth, cols)
+
+    def counting_wedge(w, col):
+        wedge_calls.append(1)
+        return wedge(w, col)
+
+    monkeypatch.setattr(isosearch._ColumnWalk, "node_rows", counting_rows)
+    monkeypatch.setattr(isosearch, "_wedge", counting_wedge)
+    if not shared:
+        monkeypatch.setattr(isosearch._NodeMemo, "keep",
+                            lambda self, key, children: children)
+    isosearch._box_powers.cache_clear()
+    try:
+        report = sweep_distinctness("three-stage", 2, 3)
+    finally:
+        isosearch._box_powers.cache_clear()
+    text = json.dumps({"rows": report["rows"], "summary": report["summary"]})
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "edfbf42feb20a02030788dba7dde0a07ddadddfa57c86b325736bafc12f8c883"
+    )
+    assert (rows[1], len(wedge_calls)) == (nodes, wedges)
+    assert (rows[0], rows[2]) == (173, 6_354)  # root and last level unshared
+
+
 @pytest.mark.parametrize("theorem, flag, keys", [
     ("eight-dim", "non-rigidity",
      ["a", "b", "expected", "verdict", "pass", "flag", "note", "pi6"]),

@@ -677,6 +677,74 @@ def test_index_store_is_bounded(monkeypatch):
         _box_powers.cache_clear()
 
 
+_THREE_STAGE = [str(f) for f in families_for_theorem("three-stage", 2)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_memo_shared_by_sources_keeps_every_list(data):
+    # interior nodes walked for other sources of the target are read back
+    # from its memo: the list is the one fresh tables give
+    b = data.draw(st.sampled_from(_THREE_STAGE), label="target")
+    a = data.draw(st.sampled_from(_THREE_STAGE), label="source")
+    others = data.draw(st.lists(st.sampled_from(_THREE_STAGE), min_size=1,
+                                max_size=3), label="earlier sources")
+    pa, pb = pres(a), pres(b)
+    _box_powers.cache_clear()
+    try:
+        fresh = search_all(pa, pb, 3)
+        _box_powers.cache_clear()
+        for other in others:
+            search_all(pres(other), pb, 3)
+        memo = _box_powers(pb, 3).memo
+        assert memo  # every three-stage source has an interior level
+        assert search_all(pa, pb, 3) == fresh
+    finally:
+        _box_powers.cache_clear()
+
+
+def test_memo_stays_within_the_budget_at_its_edge(monkeypatch):
+    # room for two indexes of a 27-column box and 20 memo cells beside the
+    # tables: the memo drops its oldest nodes, never holds more than the
+    # room the indexes leave, and every list still matches the reference
+    memos, dropped = [], []
+
+    class WatchedMemo(isosearch._NodeMemo):
+        def __init__(self, *args):
+            super().__init__(*args)
+            memos.append(self)
+
+        def popitem(self, last=True):
+            dropped.append(last)
+            return super().popitem(last)
+
+        def index_built(self):
+            super().index_built()
+            assert 0 <= self.cells <= self.room
+
+        def keep(self, key, children):
+            kept = super().keep(key, children)
+            assert self.cells <= self.room
+            assert self.cells == sum(map(isosearch._children_cells,
+                                         self.values()))
+            return kept
+
+    pb = pres("Zeta3:0,1,2")
+    monkeypatch.setattr(isosearch, "_NodeMemo", WatchedMemo)
+    monkeypatch.setattr(isosearch, "MAX_SEARCH_CELLS",
+                        table_cells(pb, 1) + 2 * 27 + 20)
+    _box_powers.cache_clear()
+    reference = cache(lambda a: search_all_reference(pres(a), pb, 1))
+    try:
+        for a in ("Zeta3:1,0,2", "Zeta3:0,1,2", "Xi3:0,1,2", "Zeta3:1,0,2",
+                  "Zeta3:0,1,2"):
+            assert search_all(pres(a), pb, 1) == reference(a)
+        assert len(memos) == 1 and memos[0].room == 20
+        assert dropped and not any(dropped)  # oldest first
+    finally:
+        _box_powers.cache_clear()
+
+
 def test_search_frees_its_tables_on_return():
     # no reference cycle keeps a walk alive until a GC pass; only the
     # one-slot cache keeps tables, those of the latest target

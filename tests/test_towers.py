@@ -77,6 +77,40 @@ def test_fiber_dim_limit():
         towerspec_from_json(over)
 
 
+def _cp1_stages(n: int) -> dict:
+    return {"stages": [{"fiber_dim": "1", "chern": [[], []]}] * n}
+
+
+def test_tower_size_limit(monkeypatch):
+    # g stages with T Chern terms write g * (g + T) presentation exponents;
+    # 1,414 CP^1 stages are within 2,000,000 and 1,415 are not
+    assert towerspec_from_json(_cp1_stages(1414)).ngens == 1414
+    stages = [Stage(1, (Poly.zero(k), Poly.zero(k))) for k in range(1415)]
+    with pytest.raises(TowerSpecError, match="a tower of 1415 stages and 0 "
+                       "chern terms has 2002225 presentation exponents, "
+                       "above the limit of 2000000"):
+        TowerSpec(stages)
+
+    def refuse(*args):
+        raise AssertionError("a stage was read")
+
+    # refused before any stage is read, counting the listed terms
+    monkeypatch.setattr(towers, "_fit_terms", refuse)
+    with pytest.raises(TowerSpecError, match="1415 stages and 0 chern terms"):
+        towerspec_from_json(_cp1_stages(1415))
+    monkeypatch.undo()
+    data = towerspec_to_json(zeta_spec(1, 1, 2))  # 3 stages, 3 chern terms
+    monkeypatch.setattr(towers, "MAX_TOWER_EXPONENTS", 3 * (3 + 3))
+    assert towerspec_from_json(data) == zeta_spec(1, 1, 2)
+    monkeypatch.setattr(towers, "MAX_TOWER_EXPONENTS", 3 * (3 + 3) - 1)
+    for make in (lambda: towerspec_from_json(data),
+                 lambda: zeta_spec(1, 1, 2)):
+        with pytest.raises(TowerSpecError, match="3 stages and 3 chern terms "
+                           "has 18 presentation exponents, above the limit "
+                           "of 17"):
+            make()
+
+
 def test_towerspec_properties():
     spec = zeta_spec(1, 1, 2)
     assert spec.ngens == 3
