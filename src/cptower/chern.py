@@ -120,9 +120,17 @@ def whitney_sum_of_lines(
     base: RingPresentation, c1s: Sequence[Poly]
 ) -> BundleDescriptor:
     """Sum of line bundles; c_i is the i-th elementary symmetric polynomial
-    of the line classes."""
+    of the line classes.  A sum of more than ``towers.MAX_FIBER_DIM + 1``
+    lines projectivizes to no legal stage, so it is refused before any
+    product (the products are quadratic in the count)."""
     if not c1s:
         raise BundleError("whitney sum of an empty list of line bundles")
+    if len(c1s) > towers.MAX_FIBER_DIM + 1:
+        raise BundleError(
+            f"whitney sum of {len(c1s)} line bundles: its projectivization's "
+            f"fiber_dim {len(c1s) - 1} is above the limit of "
+            f"{towers.MAX_FIBER_DIM}"
+        )
     roots = []
     for i, c in enumerate(c1s, start=1):
         r = base.normal_form(c)

@@ -19,17 +19,18 @@ Enumeration order is part of the contract: matrices are tried in
 lexicographic order of the column-major flattened entry vector, entries
 running -B..B, so runs are reproducible bit for bit.  The engine places
 whole columns left to right, each drawn from the box of (2B+1)^g candidate
-columns.  One budget, ``MAX_SEARCH_CELLS``, bounds the box's power
-tables, the target's basis and the number of image indexes kept, counted
-from the Poincare series before anything is built (:func:`table_cells`),
-and the memo of interior walk nodes fills what the tables and indexes
-leave.  A search above it is refused up front, on the box alone whatever
-the pair, then on the target's tables.  The budget does not count the
-packed power coordinates (``_Lanes``), whose lanes grow with the packed
-images: 3 x CP^20 at bound 2 is within it and took 85 MB.  The engine
-skips no certificate, so the first matrix it finds is the one the plain
-flat enumeration of the whole entry box finds; the tests compare the two
-engines directly.  Its work is split by what it depends on:
+columns.  One budget, ``MAX_SEARCH_CELLS``, bounds what each target
+holds: the box's power tables and the target's basis, counted from the
+Poincare series before anything is built (:func:`table_cells`), and one
+store that fills what they leave with the image indexes of (b) and the
+children of interior walk nodes.  A search above it is refused up front,
+on the box alone whatever the pair, then on the target's tables.  The
+budget does not count the packed power coordinates (``_Lanes``), whose
+lanes grow with the packed images: 3 x CP^20 at bound 2 is within it and
+took 85 MB.  The engine skips no certificate, so the first matrix it
+finds is the one the plain flat enumeration of the whole entry box finds;
+the tests compare the two engines directly.  Its work is split by what it
+depends on:
 
 (a) per target, shared by consecutive searches: the powers L_c, L_c^2, ...
     of the linear form of every box column c, in the target's graded basis
@@ -49,7 +50,7 @@ engines directly.  Its work is split by what it depends on:
     prefix powers, by ``fold``).  By ``fold`` again they fold into one
     dense integer matrix A and one target vector t such that the image
     at candidate c vanishes exactly when A (L_c, L_c^2, ...) = t.  The same
-    A recurs at many nodes, so each target keeps an index per A: one
+    A recurs at many nodes, so each target stores an index per A: one
     sorted list of lanes, each a column's image, packed into one exact
     integer, with the column's box index in its low bits.  It is built for
     all columns at once: the target also keeps its power values as big
@@ -64,11 +65,11 @@ engines directly.  Its work is split by what it depends on:
     maximal minor, keyed by its row set); a candidate that empties it makes
     the placed columns linearly dependent, so every completion has det 0
     and it is dropped.  An interior node (depth 1 to g - 2) depends only
-    on its source relation and its prefix, so the target keeps the
+    on its source relation and its prefix, so the target stores the
     children it found, each a box index with its grown wedge, keyed by
     (relation, prefix box indices), and every later source with that
-    relation at that depth reads them back (``_BoxPowers.memo``); the memo
-    shares the budget with the indexes;
+    relation at that depth reads them back.  Indexes and children share
+    the one store (``_BoxPowers.store``), and so the budget;
 (c) at the last depth det M = cof . c is linear in the last column c, with
     cof[i] = (-1)^(g-1-i) times the wedge's minor on every row but i, so
     the survivors are kept when cof . c = +-1.
@@ -85,7 +86,7 @@ from array import array
 from bisect import bisect_left
 from collections import OrderedDict, namedtuple
 from collections.abc import Iterator, Sequence
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product, repeat
 from operator import add, and_, itemgetter, mul, neg, sub
 
@@ -235,14 +236,14 @@ def compose(m_ab: Matrix, m_bc: Matrix) -> Matrix:
 
 # -- the search engine -----------------------------------------------------
 
-# The most cells of a search's target tables (:func:`table_cells`), image
-# indexes and memo of interior walk nodes, which fill what the tables
-# leave.  A larger search is refused before any table is built.  The
-# packed coordinates of ``_Lanes`` are not counted.  One search of a
-# target on itself, Python 3.11: 3 x CP^20 at bound 2 (261,761 cells) takes
-# 1.3 s and 85 MB max RSS, of which 25 MB once its tables are built, and
-# the rest mostly the packed coordinates of its first index; (CP^1)^5 at
-# bound 3 (252,137 cells) 0.4 s and 30 MB.
+# The most cells a search's target holds: its tables (:func:`table_cells`)
+# and, in what they leave, its store of image indexes and interior walk
+# nodes.  A search whose tables alone are larger is refused before any table
+# is built.  The packed coordinates of ``_Lanes`` are not counted.  One
+# search of a target on itself, Python 3.11: 3 x CP^20 at bound 2 (261,761
+# cells) takes 1.3 s and 85 MB max RSS, of which 25 MB once its tables are
+# built, and the rest mostly the packed coordinates of its first index;
+# (CP^1)^5 at bound 3 (252,137 cells) 0.4 s and 30 MB.
 MAX_SEARCH_CELLS = 300_000
 
 
@@ -378,8 +379,7 @@ class _Lanes:
     ``coordinate(S, p)`` is B_p = sum_idx values[p][idx] * 2^(W pos).  B_p
     is packed from the values less their minimum, so its lanes must hold
     the spread of coordinate p; every lane width an index that weights p
-    uses does (see :func:`_image_index`).  Holds no reference to the
-    tables, so an index bound to it forms no cycle."""
+    uses does (see :func:`_image_index`)."""
 
     __slots__ = ("values", "_made")
 
@@ -457,23 +457,6 @@ def _image_index(lanes: _Lanes, peaks: list, a: tuple) -> tuple:
             list(map(and_, packed, repeat((1 << shift) - 1))))
 
 
-def _node_index(lanes: _Lanes, peaks: list, folds: dict, memo: "_NodeMemo",
-                key: tuple) -> tuple:
-    """The image index of the folded matrix A that a node key (n, ((a, e),
-    q), ...) names: A has n rows over the power coordinates, and each part
-    adds the prefix values q times its fold ``folds[(a, e)]`` (see
-    ``_BoxPowers.fold``).  The index takes its cells from ``memo``."""
-    memo.index_built()
-    n, *parts = key
-    mat = [[0] * len(peaks) for _ in range(n)]
-    for part, q in parts:
-        for qm, row in zip(q, folds[part]):
-            if qm:
-                for j, p, c in row:
-                    mat[j][p] += qm * c
-    return _image_index(lanes, peaks, tuple(map(tuple, mat)))
-
-
 def _survivors(index: tuple, target: tuple) -> Sequence[int]:
     """Box indices idx, ascending, whose image under the folded matrix A of
     ``index`` (an :func:`_image_index`) is ``target``: sum_p A[j][p] *
@@ -493,51 +476,16 @@ def _survivors(index: tuple, target: tuple) -> Sequence[int]:
 
 
 def _children_cells(children: list) -> int:
-    """The cells a memo entry holds: one for the node and, per child, one
-    for its box index and one per minor of its wedge."""
+    """The cells a node's children hold in the store: one for the node and,
+    per child, one for its box index and one per minor of its wedge."""
     return 1 + len(children) + sum(map(len, map(itemgetter(1), children)))
-
-
-class _NodeMemo(OrderedDict):
-    """The children of interior walk nodes, oldest first (see
-    ``_BoxPowers``).  ``room`` is what the tables and the indexes built so
-    far leave of the budget, and ``cells`` what the entries hold; an entry
-    that does not fit drops the oldest ones first, and so does an index
-    build that takes cells from ``room``."""
-
-    def __init__(self, room: int, width: int, slots: int):
-        super().__init__()
-        self.room, self.cells = room, 0
-        # each index takes ``width`` cells, and the LRU has ``slots``
-        self._width, self._unbuilt = width, slots
-
-    def _fit(self, cells: int) -> bool:
-        while self and self.cells + cells > self.room:
-            self.cells -= _children_cells(self.popitem(last=False)[1])
-        return self.cells + cells <= self.room
-
-    def index_built(self) -> None:
-        """An index of one lane per box column was built: until the index
-        LRU is full, its cells come out of the memo's room."""
-        if self._unbuilt:
-            self._unbuilt -= 1
-            self.room -= self._width
-            if self.cells > self.room:
-                self._fit(0)
-
-    def keep(self, key: tuple, children: list) -> list:
-        """Store ``children`` under ``key`` if they fit; return them."""
-        cells = _children_cells(children)
-        if self._fit(cells):
-            self[key] = children
-            self.cells += cells
-        return children
 
 
 class _BoxPowers:
     """The target-side tables of a search: the box columns, their power
-    vectors and the image indexes.  They depend only on (target, bound), so
-    :func:`_box_powers` shares them between consecutive searches.
+    vectors, and one store of image indexes and interior walk nodes.  They
+    depend only on (target, bound), so :func:`_box_powers` shares them
+    between consecutive searches.
 
     ``values[p][idx]`` is coordinate p of the power vector of box column
     idx: the powers L^1, ..., L^E of its linear form L, each in the target's
@@ -556,39 +504,36 @@ class _BoxPowers:
     bits per box column (:class:`_Lanes`), made on first use: per lane
     width in use, one integer of len(columns) lanes per coordinate an
     index weights.  These are not counted in the budget below.
-    ``index(key)`` is the image index of the folded matrix A a walk node's
-    key names (``_ColumnWalk.node_rows``): one sorted list with a lane per
-    box column, its image under A packed into one exact integer, shifted
-    left past the column's box index, plus those box indices in the same
-    order; computed for all columns at once in the lanes (see
-    :func:`_image_index` and :func:`_survivors`).  The key is (n, ((a, e),
-    q), ...), n the rank of the relation's weight and q the non-zero
-    prefix values of each part x_d^e with e >= 1, a the weight of q.  A is
-    built from ``fold(a, e)`` only when the key misses.  A key fixes A; conversely, for one relation
-    weight, different keys give different A, as the blocks for different e
-    fill disjoint columns of A and below the top weight multiplying by a
-    non-zero class q is injective (Poincare duality, the ring being
-    generated in degree 2), so keying by q costs no extra builds.
-    The tables hold len(values) * len(columns) power values and the bases
-    of every weight, exactly :func:`table_cells`.  ``index`` is an LRU of
-    (MAX_SEARCH_CELLS - cells) // len(columns) indexes (at least one), one
-    lane per column each, so the tables and the indexed columns stay within
-    one budget of :data:`MAX_SEARCH_CELLS` cells per target, the packed
-    coordinates of ``lanes`` apart; its ``cache_info()`` counts
-    index builds (misses) and lookups of a built index (hits).
 
-    ``memo`` (a :class:`_NodeMemo`) shares that budget: it maps an interior
-    node, depth 1 <= d <= g - 2, keyed by (source relation d, the prefix's
-    box indices), to its children in walk order, each (box index, grown
-    wedge) with the dependent columns dropped.  Those depend on nothing
-    else, so the sources of a sweep that share a relation (every
-    three-stage source has relation 1 in one of two forms) walk each such
-    node once per target.  An entry counts one cell for the node and, per
-    child, one for its box index and one per minor of its wedge.  The memo
-    holds what the tables and the indexes built so far leave of the
-    budget: an entry that does not fit drops the oldest ones first, and so
-    does each index build that takes its cells from the memo's room, until
-    the LRU is full.
+    ``store`` maps a key to (value, cells), oldest first, for two kinds of
+    entry.  ``index(key)`` is the image index of the folded matrix A a walk
+    node's key names (``_ColumnWalk.node_rows``): one sorted list with a
+    lane per box column, its image under A packed into one exact integer,
+    shifted left past the column's box index, plus those box indices in the
+    same order; computed for all columns at once in the lanes (see
+    :func:`_image_index` and :func:`_survivors`), and len(columns) cells.
+    The key is (n, ((a, e), q), ...), n the rank of the relation's weight
+    and q the non-zero prefix values of each part x_d^e with e >= 1, a the
+    weight of q.  A is built from ``fold(a, e)`` only when the key misses.
+    A key fixes A; conversely, for one relation weight, different keys give
+    different A, as the blocks for different e fill disjoint columns of A
+    and below the top weight multiplying by a non-zero class q is injective
+    (Poincare duality, the ring being generated in degree 2), so keying by
+    q costs no extra builds.  An interior walk node, depth 1 <= d <= g - 2,
+    keyed by (source relation d, the prefix's box indices), holds its
+    children in walk order, each (box index, grown wedge) with the
+    dependent columns dropped, and :func:`_children_cells` cells.  Those
+    depend on nothing else, so the sources of a sweep that share a
+    relation (every three-stage source has relation 1 in one of two forms)
+    walk each such node once per target.
+
+    The tables hold len(values) * len(columns) power values and the bases
+    of every weight, exactly :func:`table_cells`, and the store has the
+    ``room`` they leave of :data:`MAX_SEARCH_CELLS`, so each target stays
+    within that one budget, the packed coordinates of ``lanes`` apart.
+    ``held`` is the cells the store holds.  ``keep`` follows one rule: an
+    entry that does not fit drops the oldest entries first, and an entry
+    larger than the whole room is used but not kept.
     """
 
     def __init__(self, pres_b: RingPresentation, bound: int):
@@ -608,16 +553,44 @@ class _BoxPowers:
         self.values = self._tabulate_powers(top)
         self.rows = list(zip(*self.values))  # per box column
         self.lanes = _Lanes(self.values)
-        cells = len(self.values) * len(self.columns) + sum(self.dims)
-        room = MAX_SEARCH_CELLS - cells
-        slots = max(1, room // len(self.columns))
-        self.memo = _NodeMemo(room, len(self.columns), slots)
-        # bound to the tables' parts, not to self, so no reference cycle
-        # keeps them alive
-        self.index = lru_cache(maxsize=slots)(partial(
-            _node_index, self.lanes,
-            [max(map(abs, v)) for v in self.values], self._folds, self.memo,
-        ))
+        self.peaks = [max(map(abs, v)) for v in self.values]
+        # an index key starts with the int n, a node key with a relation's
+        # terms tuple, so the two kinds of key never collide
+        self.store: OrderedDict = OrderedDict()
+        self.room = MAX_SEARCH_CELLS - table_cells(pres_b, bound)
+        self.held = 0
+
+    def keep(self, key: tuple, value, cells: int):
+        """Store ``value`` under ``key`` as ``cells`` cells, dropping the
+        oldest entries until it fits, unless it alone is above the room;
+        return it either way."""
+        if cells <= self.room:
+            store = self.store
+            while self.held + cells > self.room:
+                self.held -= store.popitem(last=False)[1][1]
+            store[key] = value, cells
+            self.held += cells
+        return value
+
+    def index(self, key: tuple) -> tuple:
+        """The image index of the folded matrix A that a node key (n, ((a,
+        e), q), ...) names, from the store, or built and kept: A has n rows
+        over the power coordinates, and each part adds the prefix values q
+        times its fold ``fold(a, e)``."""
+        found = self.store.get(key)
+        if found:
+            return found[0]
+        n, *parts = key
+        mat = [[0] * len(self.peaks) for _ in range(n)]
+        for part, q in parts:
+            for qm, row in zip(q, self._folds[part]):
+                if qm:
+                    for j, p, c in row:
+                        mat[j][p] += qm * c
+        return self.keep(
+            key, _image_index(self.lanes, self.peaks, tuple(map(tuple, mat))),
+            len(self.columns),
+        )
 
     def fold(self, a: int, e: int) -> list:
         """``fold[m]``: the (row j, power coordinate p, coefficient c)
@@ -670,22 +643,22 @@ class _ColumnWalk:
     exactly when sum(A[j][p] * values[p][idx] for p) == target[j] for every
     row j.  A is named by a short key of the node's prefix values
     (``node_rows``), so a node whose A is indexed already costs one hash of
-    that key; A itself is built only for a key the target has not indexed
-    (``_BoxPowers.index``).  The candidates passing are one lookup
-    (``_survivors``), ascending, so the contract order holds.
+    that key in the target's store; A itself is built only for a key the
+    store misses (``_BoxPowers.index``).  The candidates passing are one
+    lookup (``_survivors``), ascending, so the contract order holds.
 
     ``walk`` carries the wedge of the placed columns (``_wedge``), from
     ``{0: 1}``: a survivor that empties it is dependent and is skipped.
     With g - 1 columns placed, cof[i] = (-1)^(g-1-i) times its minor on
     every row but i, so det M = cof . c with no further determinant.  At an
     interior node the surviving columns and their wedges come from the
-    target's ``memo`` when an earlier walk with the same relation at that
-    depth met the node (``children`` fills it).
+    same store when an earlier walk with the same relation at that depth
+    met the node (``children`` fills it).
     """
 
     def __init__(self, pres_a: RingPresentation, tables: _BoxPowers):
         self.tables = tables
-        # relation d by content, sorted terms (hashed in C): the memo key
+        # relation d by content, sorted terms (hashed in C): a node key
         self.relation_keys = pres_a.identity[1]
         dims = tables.dims
         # per depth: the rank n of the relation's weight and, per part, the
@@ -736,32 +709,34 @@ class _ColumnWalk:
                 key.append((part, tuple(q)))
         return tuple(key), target
 
-    def children(self, depth: int, cols: list, wedge: dict) -> list:
+    def children(self, node: tuple, depth: int, cols: list, wedge: dict
+                 ) -> list:
         """(box index, grown wedge) of each survivor of the node that keeps
-        the placed columns independent, ascending."""
-        columns = self.tables.columns
+        the placed columns independent, ascending, kept in the store under
+        the node key ``node``."""
+        tables = self.tables
         key, target = self.node_rows(depth, cols)
-        return [(idx, grown)
-                for idx in _survivors(self.tables.index(key), target)
-                if (grown := _wedge(wedge, columns[idx]))]
+        children = [(idx, grown)
+                    for idx in _survivors(tables.index(key), target)
+                    if (grown := _wedge(wedge, tables.columns[idx]))]
+        return tables.keep(node, children, _children_cells(children))
 
     def walk(self, depth: int, cols: list, wedge: dict
              ) -> Iterator[tuple[Matrix, int]]:
         tables = self.tables
-        columns, g = tables.columns, tables.g
+        columns, g, store = tables.columns, tables.g, tables.store
         if 0 < depth < g - 1:
             # root and last level unshared until ROADMAP item 1 (RSS per pass)
-            key = (self.relation_keys[depth], *cols)
-            children = tables.memo.get(key)
-            if children is None:
-                children = tables.memo.keep(
-                    key, self.children(depth, cols, wedge)
-                )
+            node = (self.relation_keys[depth], *cols)
+            found = store.get(node)
+            children = (found[0] if found
+                        else self.children(node, depth, cols, wedge))
             for idx, grown in children:
                 yield from self.walk(depth + 1, cols + [idx], grown)
             return
         key, target = self.node_rows(depth, cols)
-        hits = _survivors(tables.index(key), target)
+        found = store.get(key)
+        hits = _survivors(found[0] if found else tables.index(key), target)
         if depth < g - 1:
             # the root grows wedges lazily, as a search may stop early
             for idx in hits:

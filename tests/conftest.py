@@ -19,6 +19,15 @@ def trivial_tower(*fiber_dims: int):
     )))
 
 
+def bott(*coeffs: int):
+    """A Bott tower of CP^1 stages: stage k + 2 has c_1 = coeffs[k] times
+    the generator of stage k + 1, and c_2 = 0."""
+    return presentation(TowerSpec((Stage(1, (Poly.zero(0),) * 2),) + tuple(
+        Stage(1, (Poly.monomial(k + 1, [0] * k + [1], e), Poly.zero(k + 1)))
+        for k, e in enumerate(coeffs)
+    )))
+
+
 def hirzebruch(k: int):
     return presentation(hirzebruch_spec(k))
 

@@ -430,22 +430,30 @@ def test_sweep_report_is_pinned(theorem, n, digest):
 
 def test_sweep_builds_each_image_index_once(monkeypatch):
     # per target, every folded matrix A met by the walk gets its index built
-    # once; later nodes with the same A only look it up
+    # once and stays in the store; later nodes with the same A only look it
+    # up (each node_rows call is followed by one lookup)
     tables = []
     built = Counter()
+    lookups = []
 
     class KeptBoxPowers(isosearch._BoxPowers):
         def __init__(self, *args):
-            tables.append(self)  # kept alive to read the counters after
+            tables.append(self)  # kept alive to read the stores after
             super().__init__(*args)
 
-    def counting_index(values, peaks, a):
-        built[id(values), a] += 1
-        return build(values, peaks, a)
+    def counting_index(lanes, peaks, a):
+        built[id(lanes), a] += 1
+        return build(lanes, peaks, a)
+
+    def counting_rows(self, depth, cols):
+        lookups.append(depth)
+        return node_rows(self, depth, cols)
 
     build = isosearch._image_index
+    node_rows = isosearch._ColumnWalk.node_rows
     monkeypatch.setattr(isosearch, "_BoxPowers", KeptBoxPowers)
     monkeypatch.setattr(isosearch, "_image_index", counting_index)
+    monkeypatch.setattr(isosearch._ColumnWalk, "node_rows", counting_rows)
     isosearch._box_powers.cache_clear()
     try:
         report = sweep_distinctness("eight-dim", 2, 2)
@@ -454,16 +462,18 @@ def test_sweep_builds_each_image_index_once(monkeypatch):
     assert report["summary"]["failures"] == "0"
     assert len(tables) == 10
     assert set(built.values()) == {1}
-    infos = [t.index.cache_info() for t in tables]
-    assert sum(i.misses for i in infos) == len(built)
-    assert all(i.currsize == i.misses for i in infos)  # nothing evicted
-    assert sum(i.hits for i in infos) > len(built)
+    # g = 2 has no interior level, so the stores hold indexes only, one per
+    # build: nothing was dropped
+    width = len(tables[0].columns)
+    assert sum(len(t.store) for t in tables) == len(built)
+    assert all(t.held == width * len(t.store) for t in tables)
+    assert len(lookups) - len(built) > len(built)  # hits outnumber builds
 
 
 @pytest.mark.parametrize("shared, nodes, wedges", [
     (True, 262, 4_582),
     # every search walks its interior level again; 114 more wedges than
-    # the lazy walk without a memo took (16,770), as a stored list holds
+    # the lazy walk without a store took (16,770), as a stored list holds
     # every child, also past a search's first certificate
     (False, 1_433, 16_884),
 ])
@@ -471,10 +481,12 @@ def test_sweep_shares_interior_nodes_across_sources(
     monkeypatch, shared, nodes, wedges
 ):
     # three-stage sources share relation 0 = x_0^2 and two forms of
-    # relation 1: a target's memo walks each depth-1 node once per form,
-    # whichever source meets it first, and the report stays byte for byte
-    rows, wedge_calls = Counter(), []
+    # relation 1: a target's store walks each depth-1 node once per form,
+    # whichever source meets it first, and the report stays byte for byte.
+    # Either way each target builds its indexes once: 438 in the sweep
+    rows, wedge_calls, built = Counter(), [], []
     node_rows, wedge = isosearch._ColumnWalk.node_rows, isosearch._wedge
+    build = isosearch._image_index
 
     def counting_rows(self, depth, cols):
         rows[depth] += 1
@@ -484,11 +496,18 @@ def test_sweep_shares_interior_nodes_across_sources(
         wedge_calls.append(1)
         return wedge(w, col)
 
+    def counting_index(lanes, peaks, a):
+        built.append((lanes, a))  # the lanes kept alive keep ids apart
+        return build(lanes, peaks, a)
+
     monkeypatch.setattr(isosearch._ColumnWalk, "node_rows", counting_rows)
     monkeypatch.setattr(isosearch, "_wedge", counting_wedge)
+    monkeypatch.setattr(isosearch, "_image_index", counting_index)
     if not shared:
-        monkeypatch.setattr(isosearch._NodeMemo, "keep",
-                            lambda self, key, children: children)
+        # node lists above the whole room are used but never kept, while
+        # the indexes are kept as before
+        monkeypatch.setattr(isosearch, "_children_cells",
+                            lambda children: isosearch.MAX_SEARCH_CELLS + 1)
     isosearch._box_powers.cache_clear()
     try:
         report = sweep_distinctness("three-stage", 2, 3)
@@ -500,6 +519,7 @@ def test_sweep_shares_interior_nodes_across_sources(
     )
     assert (rows[1], len(wedge_calls)) == (nodes, wedges)
     assert (rows[0], rows[2]) == (173, 6_354)  # root and last level unshared
+    assert len(built) == len(set(built)) == 438
 
 
 @pytest.mark.parametrize("theorem, flag, keys", [

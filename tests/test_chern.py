@@ -190,6 +190,30 @@ def test_whitney_sum_validation():
         whitney_sum_of_lines(cp(2), [x_poly(1), Poly(1, {(2,): 1})])
 
 
+def test_whitney_sum_refuses_too_many_lines_before_any_product(monkeypatch):
+    # with the fiber limit at 2, a sum of 3 lines projectivizes to a CP^2
+    # stage; 4 lines could only give a CP^3 one, so they are refused before
+    # the quadratic products, and before the classes are even checked
+    products = []
+    mul = Poly.__mul__
+
+    def counting_mul(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr("cptower.towers.MAX_FIBER_DIM", 2)
+    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    assert whitney_sum_of_lines(cp(1), [x_poly(1)] * 3).rank == 3
+    assert products
+    products.clear()
+    bad = Poly(1, {(2,): 1})  # would fail the degree check
+    with pytest.raises(BundleError, match="whitney sum of 4 line bundles: "
+                       "its projectivization's fiber_dim 3 is above the "
+                       "limit of 2"):
+        whitney_sum_of_lines(cp(1), [bad] * 4)
+    assert products == []
+
+
 # -- normalize_c1 -----------------------------------------------------------
 
 

@@ -587,6 +587,18 @@ def test_chern_sum_fixture(capsys):
     assert payload["chern"] == [[{"coeff": "1", "exps": ["1"]}], [], []]
 
 
+def test_chern_sum_of_too_many_lines_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr("cptower.towers.MAX_FIBER_DIM", 2)
+    code, out, err = run_cli(
+        capsys, "chern", "sum", "--base", "CP1", "--lines", "x,0,0,x"
+    )
+    assert (code, out) == (2, "")
+    assert err.strip() == (
+        "error: whitney sum of 4 line bundles: its projectivization's "
+        "fiber_dim 3 is above the limit of 2"
+    )
+
+
 def test_chern_milnor_fixture(capsys):
     code, payload, _ = run_json(capsys, "chern", "milnor", "1", "2")
     assert code == 0

@@ -4,6 +4,7 @@ import gc
 import itertools
 import random
 from array import array
+from collections import OrderedDict
 from fractions import Fraction
 from functools import cache
 
@@ -40,7 +41,7 @@ from cptower.isosearch import (
     images_from_matrix,
     table_cells,
 )
-from conftest import cp, hirzebruch, pres, trivial_tower
+from conftest import bott, cp, hirzebruch, pres, trivial_tower
 from oracles import (
     image_index_reference,
     node_survivors_by_substitution,
@@ -659,9 +660,28 @@ def test_wedge_holds_every_maximal_minor(g, data):
         assert (not w) == (_rank(cols) < k)
 
 
+def _is_index(key: tuple) -> bool:
+    """An image index key starts with an int; a node key does not."""
+    return isinstance(key[0], int)
+
+
+def _counting_index(monkeypatch) -> list:
+    """Count every image index build: the list grows by the folded matrix
+    of each."""
+    built, build = [], isosearch._image_index
+
+    def counting(lanes, peaks, a):
+        built.append(a)
+        return build(lanes, peaks, a)
+
+    monkeypatch.setattr(isosearch, "_image_index", counting)
+    return built
+
+
 def test_index_store_is_bounded(monkeypatch):
     # room for two indexes of a 27-column box beside the tables: searches
     # still match the reference while the store evicts
+    built = _counting_index(monkeypatch)
     _box_powers.cache_clear()
     try:
         for a, b in (("Zeta3:1,0,2", "Zeta3:0,1,2"),
@@ -669,10 +689,12 @@ def test_index_store_is_bounded(monkeypatch):
             pa, pb = pres(a), pres(b)
             monkeypatch.setattr(isosearch, "MAX_SEARCH_CELLS",
                                 table_cells(pb, 1) + 2 * 27)
+            built.clear()
             assert search_all(pa, pb, 1) == search_all_reference(pa, pb, 1)
-            info = _box_powers(pb, 1).index.cache_info()  # the slot
-            assert info.maxsize == 2 and info.currsize <= 2
-            assert info.misses > 2  # indexes were evicted and rebuilt
+            tables = _box_powers(pb, 1)  # the slot
+            assert tables.room == 2 * 27
+            assert sum(map(_is_index, tables.store)) <= 2
+            assert len(built) > len(set(built))  # evicted and rebuilt
     finally:
         _box_powers.cache_clear()
 
@@ -684,7 +706,7 @@ _THREE_STAGE = [str(f) for f in families_for_theorem("three-stage", 2)]
 @given(st.data())
 def test_memo_shared_by_sources_keeps_every_list(data):
     # interior nodes walked for other sources of the target are read back
-    # from its memo: the list is the one fresh tables give
+    # from its store: the list is the one fresh tables give
     b = data.draw(st.sampled_from(_THREE_STAGE), label="target")
     a = data.draw(st.sampled_from(_THREE_STAGE), label="source")
     others = data.draw(st.lists(st.sampled_from(_THREE_STAGE), min_size=1,
@@ -696,41 +718,59 @@ def test_memo_shared_by_sources_keeps_every_list(data):
         _box_powers.cache_clear()
         for other in others:
             search_all(pres(other), pb, 3)
-        memo = _box_powers(pb, 3).memo
-        assert memo  # every three-stage source has an interior level
+        store = _box_powers(pb, 3).store
+        # every three-stage source has an interior level
+        assert not all(map(_is_index, store))
         assert search_all(pa, pb, 3) == fresh
     finally:
         _box_powers.cache_clear()
 
 
-def test_memo_stays_within_the_budget_at_its_edge(monkeypatch):
-    # room for two indexes of a 27-column box and 20 memo cells beside the
-    # tables: the memo drops its oldest nodes, never holds more than the
-    # room the indexes leave, and every list still matches the reference
-    memos, dropped = [], []
+class _WatchedStore(OrderedDict):
+    """A store that records the ``last`` argument of every drop."""
 
-    class WatchedMemo(isosearch._NodeMemo):
+    def __init__(self, dropped: list):
+        super().__init__()
+        self.dropped = dropped
+
+    def popitem(self, last=True):
+        self.dropped.append(last)
+        return super().popitem(last)
+
+
+def _watch_stores(monkeypatch) -> tuple:
+    """Make every target's store check itself after each keep: its cells,
+    recounted, match ``held`` and stay within the room, and the entries
+    left are the latest kept, in the order kept, so the oldest go first.
+    Returns the tables made and the ``last`` argument of every drop."""
+    made, dropped = [], []
+
+    class WatchedBoxPowers(isosearch._BoxPowers):
         def __init__(self, *args):
             super().__init__(*args)
-            memos.append(self)
+            self.store, self.kept = _WatchedStore(dropped), []
+            made.append(self)
 
-        def popitem(self, last=True):
-            dropped.append(last)
-            return super().popitem(last)
+        def keep(self, key, value, cells):
+            assert key not in self.store  # kept on a miss only
+            assert super().keep(key, value, cells) is value
+            store = self.store
+            if key in store:
+                self.kept.append(key)
+            assert self.held == sum(c for _, c in store.values()) <= self.room
+            assert list(store) == self.kept[len(self.kept) - len(store):]
+            return value
 
-        def index_built(self):
-            super().index_built()
-            assert 0 <= self.cells <= self.room
+    monkeypatch.setattr(isosearch, "_BoxPowers", WatchedBoxPowers)
+    return made, dropped
 
-        def keep(self, key, children):
-            kept = super().keep(key, children)
-            assert self.cells <= self.room
-            assert self.cells == sum(map(isosearch._children_cells,
-                                         self.values()))
-            return kept
 
+def test_memo_stays_within_the_budget_at_its_edge(monkeypatch):
+    # room for two indexes of a 27-column box and 20 node cells beside the
+    # tables: the store drops its oldest entries first, never holds more
+    # than its room, and every list still matches the reference
+    made, dropped = _watch_stores(monkeypatch)
     pb = pres("Zeta3:0,1,2")
-    monkeypatch.setattr(isosearch, "_NodeMemo", WatchedMemo)
     monkeypatch.setattr(isosearch, "MAX_SEARCH_CELLS",
                         table_cells(pb, 1) + 2 * 27 + 20)
     _box_powers.cache_clear()
@@ -739,10 +779,40 @@ def test_memo_stays_within_the_budget_at_its_edge(monkeypatch):
         for a in ("Zeta3:1,0,2", "Zeta3:0,1,2", "Xi3:0,1,2", "Zeta3:1,0,2",
                   "Zeta3:0,1,2"):
             assert search_all(pres(a), pb, 1) == reference(a)
-        assert len(memos) == 1 and memos[0].room == 20
+        assert len(made) == 1 and made[0].room == 2 * 27 + 20
         assert dropped and not any(dropped)  # oldest first
+        # both kinds of entry were kept
+        assert len(set(map(_is_index, made[0].kept))) == 2
     finally:
         _box_powers.cache_clear()
+
+
+def test_store_evicts_within_the_real_budget(monkeypatch):
+    # 5-generator Bott towers at bound 3: 7^5 = 16,807 columns, so two
+    # indexes fill most of the room the tables leave, and the store drops
+    # entries under the unpatched budget.  The verdict and the folded
+    # matrices indexed are those of a budget that drops nothing; the
+    # smaller room only rebuilds indexes that were dropped
+    built = _counting_index(monkeypatch)
+    _, dropped = _watch_stores(monkeypatch)
+    pa, pb = bott(1, 1, 1, 1), bott(1, 2, 1, 1)
+    assert table_cells(pb, 3) + 3 * 7 ** 5 > MAX_SEARCH_CELLS
+    runs = []
+    _box_powers.cache_clear()
+    try:
+        for cells in (MAX_SEARCH_CELLS, 10 * MAX_SEARCH_CELLS):
+            monkeypatch.setattr(isosearch, "MAX_SEARCH_CELLS", cells)
+            _box_powers.cache_clear()
+            built.clear()
+            dropped.clear()
+            runs.append((search(pa, pb, 3), sorted(set(built)), len(built),
+                         len(dropped)))
+    finally:
+        _box_powers.cache_clear()
+    (verdict, indexed, builds, drops), raised = runs
+    assert verdict.reason == "exhausted"
+    assert raised == (verdict, indexed, len(indexed), 0)
+    assert (len(indexed), builds) == (43, 51) and drops
 
 
 def test_search_frees_its_tables_on_return():
