@@ -483,7 +483,9 @@ def _cached_search(
     try:
         os.makedirs(cache_dir, exist_ok=True)
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(verdict.to_json(), fh)
+            # one write of the C-encoded text: json.dump streams through
+            # the pure-Python encoder
+            fh.write(json.dumps(verdict.to_json()))
         os.replace(tmp, path)
     except OSError as exc:
         if cache_dir not in _unwritable_cache_dirs:

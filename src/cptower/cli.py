@@ -30,6 +30,7 @@ import re
 import sys
 import time
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import __version__
 from .catalog import (
@@ -159,8 +160,40 @@ def format_poly(p: Poly, names=None) -> str:
     return " ".join(parts)
 
 
+def _dumps(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` for the documents cpt prints: str
+    keys, and values of type exactly str, bool, int, None, list or dict
+    (any other type raises TypeError).
+
+    ``json.dumps`` runs its pure-Python encoder whenever ``indent`` is set;
+    here only the indentation is Python, one join per container, and every
+    string goes through the C ``encode_basestring_ascii``.
+    """
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    inner = indent + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        return "{" + inner + ("," + inner).join([
+            f"{_encode_str(k)}: {_dumps(v, inner)}" for k, v in value.items()
+        ]) + indent + "}"
+    if kind is list:
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([
+            _dumps(v, inner) for v in value
+        ]) + indent + "]"
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    return int.__repr__(value)
+
+
 def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    sys.stdout.write(_dumps(payload) + "\n")
 
 
 # -- subcommands -----------------------------------------------------------
@@ -238,7 +271,7 @@ def _cmd_sweep(args) -> int:
         "rows": body["rows"],
         "summary": body["summary"],
     }
-    text = json.dumps(report, indent=2) + "\n"
+    text = _dumps(report) + "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

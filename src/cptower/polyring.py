@@ -28,7 +28,7 @@ _DECIMAL_RE = re.compile(r"-?[0-9]+\Z")
 
 def monomial_key(exps: Sequence[int]):
     """Sort key realising the order described in the module docstring."""
-    return (sum(exps), tuple(reversed(exps)))
+    return (sum(exps), tuple(exps)[::-1])
 
 
 class PolyJSONError(ValueError):
@@ -69,7 +69,7 @@ class Poly:
                     raise ValueError(
                         f"monomial {mono} has {len(mono)} exponents, expected {nvars}"
                     )
-                if any(e < 0 for e in mono):
+                if nvars and min(mono) < 0:
                     raise ValueError(f"negative exponent in monomial {mono}")
                 clean[tuple(mono)] = coeff
         self.terms = clean
@@ -146,7 +146,7 @@ class Poly:
 
         The zero polynomial is homogeneous of every weight; it reports 0.
         """
-        weights = {sum(m) for m in self.terms}
+        weights = set(map(sum, self.terms))
         if not weights:
             return 0
         if len(weights) == 1:
@@ -154,7 +154,7 @@ class Poly:
         return None
 
     def is_homogeneous(self, w: int) -> bool:
-        return all(sum(m) == w for m in self.terms)
+        return {w}.issuperset(map(sum, self.terms))
 
     # -- arithmetic -------------------------------------------------------
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
-from operator import add
+from operator import add, gt
 
 from .polyring import Monomial, Poly, PolyJSONError, _parse_int
 
@@ -393,8 +393,7 @@ def presentation(spec: TowerSpec) -> RingPresentation:
     for k, stage in enumerate(spec.stages):
         n = stage.fiber_dim
         chern = stage.chern
-        if any(e > cap for c in chern for mono in c.terms
-               for e, cap in zip(mono, caps)):
+        if any(any(map(gt, mono, caps)) for c in chern for mono in c.terms):
             base = RingPresentation(caps, [_restrict(r, k) for r in relations])
             chern = [base.normal_form(c) for c in chern]
         # c_i shifts by x_k^(n+1-i): the exponents of x_k are all distinct,

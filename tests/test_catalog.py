@@ -562,6 +562,17 @@ def test_cached_search_round_trip(tmp_path):
     assert first.found
 
 
+@pytest.mark.parametrize("a, b, bound", [
+    ("GB2:1", "GB2:2", 1),          # a certificate
+    ("Eta2:0,2", "Eta2:0,-2", 2),   # bounded exhaustion
+])
+def test_cache_entry_bytes_are_the_compact_json(tmp_path, a, b, bound):
+    # entries written before and after the one-call write read the same
+    verdict = _cached_search(pres(a), pres(b), bound, str(tmp_path))
+    cache_file = cache_entry_path(tmp_path, a, b, bound)
+    assert cache_file.read_bytes() == json.dumps(verdict.to_json()).encode()
+
+
 def test_cached_search_ignores_corrupt_entries(tmp_path):
     a, b = pres("Eta2:0,2"), pres("Eta2:0,-2")
     first = _cached_search(a, b, 2, str(tmp_path))

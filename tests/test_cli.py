@@ -1,5 +1,6 @@
 """CLI surface: argument resolution, output shapes, exit codes."""
 
+import hashlib
 import json
 import os
 import re
@@ -10,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cptower
 from cptower import Poly, chern, towerspec_to_json
@@ -17,6 +20,7 @@ from cptower.catalog import cp_spec, sweep_distinctness
 from cptower.towers import MAX_FIBER_DIM
 from cptower.cli import (
     _build_parser,
+    _dumps,
     format_poly,
     main,
     parse_poly_text,
@@ -738,6 +742,81 @@ def test_shared_parser_matches_a_parser_per_call(capsys, calls, codes):
 
 def test_parser_is_built_once():
     assert _build_parser() is _build_parser()
+
+
+# -- JSON writer -------------------------------------------------------------
+
+
+_TRICKY_TEXT = st.text(
+    alphabet=st.sampled_from('"\\/\x00\x1f\x7f\n\t\r é€ŝ😀') | st.characters(),
+    max_size=8,
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _TRICKY_TEXT,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(_TRICKY_TEXT, kids, max_size=4),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_dumps_is_json_dumps_with_indent_2(value):
+    assert _dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("iso", "GB2:1", "GB2:2", "--bound", "1"),
+     "d62012198d6e117d63607176a3d1de7e413209287e16aa420de6695a311ea997"),
+    (("iso", "Eta2:0,3", "Eta2:0,-3", "--bound", "2"),
+     "c8be5da605d18b7f1678957bc641a0654c3e17893aa4c6b3a7d1e82ae63cc856"),
+])
+def test_iso_stdout_is_pinned(capsys, argv, digest):
+    # the printed bytes, indentation and final newline included
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == (0 if argv[1] == "GB2:1" else 1)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_sweep_text_is_json_dumps_with_indent_2(capsys):
+    code, out, _ = run_cli(capsys, *_SWEEP)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+_PRINTING_COMMANDS = [
+    ("sweep", "--theorem", "three-stage", "--range", "1", "--bound", "2"),
+    ("iso", "GB2:1", "GB2:2", "--bound", "1"),       # a miss, then a hit
+    ("iso", "GB2:1", "GB2:2", "--bound", "1"),
+    ("iso", "Eta2:0,3", "Eta2:0,-3", "--bound", "2"),
+    ("iso", "Eta2:0,3", "Eta2:0,-3", "--bound", "2"),
+    ("ring", "Eta2:1,-1", "--json", "--poincare", "--basis", "2"),
+    ("catalog-list", "--json"),
+    ("chern", "milnor", "2", "3"),
+]
+
+
+@pytest.mark.skipif(
+    json.encoder.c_make_encoder is None,
+    reason="without the C encoder every json.dumps runs _make_iterencode",
+)
+def test_no_document_runs_the_pure_python_encoder(capsys, tmp_path, monkeypatch):
+    def each(cache_dir):
+        monkeypatch.setenv("CPT_CACHE_DIR", str(cache_dir))
+        return [_without_timing(run_cli(capsys, *argv))
+                for argv in _PRINTING_COMMANDS]
+
+    plain = each(tmp_path / "plain")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    guarded = each(tmp_path / "guarded")
+    assert [(code, out) for code, out, _ in guarded] == [
+        (code, out) for code, out, _ in plain
+    ]
+    assert [code for code, _, _ in guarded] == [0, 0, 0, 1, 1, 0, 0, 0]
 
 
 def test_importing_the_cli_builds_no_parser():
