@@ -33,14 +33,7 @@ import sys
 from collections import namedtuple
 from functools import lru_cache
 
-from .isosearch import (
-    SearchVerdict,
-    _check_searchable,
-    check_cells,
-    search,
-    table_cells,
-    verify,
-)
+from .isosearch import SearchVerdict, admit, search, verify
 from .polyring import Poly
 from .towers import (
     MAX_FIBER_DIM,
@@ -468,7 +461,7 @@ def _cached_search(
     A failed cache write costs only a warning on stderr, once per directory
     and process: the computed verdict is still returned.
     """
-    if cache_dir is None or not _check_searchable(pres_a, pres_b, bound):
+    if cache_dir is None or not admit(pres_a, pres_b, bound):
         return search(pres_a, pres_b, bound)
     path = os.path.join(cache_dir, f"{_cache_key(pres_a, pres_b, bound)}.json")
     try:
@@ -497,8 +490,8 @@ def _cached_search(
 
 
 def _sweep_worker(args: tuple) -> dict:
-    """The verdict JSON of one sweep row, from (a, b, bound, cache_dir):
-    the same decision, by the same call, as ``cpt iso a b``."""
+    """The verdict JSON of one sweep row, (a, b, bound, cache_dir), by the
+    call ``cpt iso a b`` makes; a row timer may rebind it in this module."""
     a, b, bound, cache_dir = args
     return _cached_search(
         presentation_of(a), presentation_of(b), bound, cache_dir
@@ -537,7 +530,7 @@ def sweep_distinctness(
     # every presentation is a target of its self pair: refuse up front a
     # sweep whose tables, or any of them, are above the search budget
     for pres in rank:
-        check_cells(pres.ngens, bound, table_cells(pres, bound))
+        admit(pres, pres, bound)
     verdicts: list = [None] * len(plan)
     for i in sorted(range(len(plan)), key=ranks.__getitem__):
         a, b = plan[i][:2]

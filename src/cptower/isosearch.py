@@ -22,14 +22,15 @@ whole columns left to right, each drawn from the box of (2B+1)^g candidate
 columns.  One budget, ``MAX_SEARCH_CELLS``, bounds what each target
 holds: the box's power tables and the target's basis, counted from the
 Poincare series before anything is built (:func:`table_cells`), and one
-store that fills what they leave with the image indexes of (b) and the
-children of interior walk nodes.  A search above it is refused up front,
-on the box alone whatever the pair, then on the target's tables.  The
-budget does not count the packed power coordinates (``_Lanes``), whose
-lanes grow with the packed images: 3 x CP^20 at bound 2 is within it and
-took 85 MB.  The engine skips no certificate, so the first matrix it
-finds is the one the plain flat enumeration of the whole entry box finds;
-the tests compare the two engines directly.  Its work is split by what it
+store that keeps image indexes of (b) and children of interior walk nodes
+while the room they leave lasts, and never drops one.  :func:`admit`
+refuses a search above it up front, on the box alone whatever the pair,
+then on the target's tables.  The budget does not count the packed power
+coordinates (``_Lanes``), whose lanes grow with the packed images: 3 x
+CP^20 at bound 2 is within it and took 85 MB.  The engine skips no
+certificate, so the first matrix it finds is the one the plain flat
+enumeration of the whole entry box finds; the tests compare the two
+engines directly.  Its work is split by what it
 depends on:
 
 (a) per target, shared by consecutive searches: the powers L_c, L_c^2, ...
@@ -84,7 +85,7 @@ import sys
 import weakref
 from array import array
 from bisect import bisect_left
-from collections import OrderedDict, namedtuple
+from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from itertools import product, repeat
@@ -238,12 +239,12 @@ def compose(m_ab: Matrix, m_bc: Matrix) -> Matrix:
 
 # The most cells a search's target holds: its tables (:func:`table_cells`)
 # and, in what they leave, its store of image indexes and interior walk
-# nodes.  A search whose tables alone are larger is refused before any table
-# is built.  The packed coordinates of ``_Lanes`` are not counted.  One
-# search of a target on itself, Python 3.11: 3 x CP^20 at bound 2 (261,761
-# cells) takes 1.3 s and 85 MB max RSS, of which 25 MB once its tables are
-# built, and the rest mostly the packed coordinates of its first index;
-# (CP^1)^5 at bound 3 (252,137 cells) 0.4 s and 30 MB.
+# nodes.  :func:`admit` refuses a search whose tables alone are larger.  The
+# packed coordinates of ``_Lanes`` are not counted.  One search of a target
+# on itself, timed in a fresh process, Python 3.11.7, 2-CPU x86-64 host:
+# 3 x CP^20 at bound 2 (261,761 cells) takes 0.84 s and 85 MB max RSS, 25 MB
+# once its tables are built, the rest mostly the packed coordinates of its
+# first index; (CP^1)^5 at bound 3 (252,137 cells) 0.19 s and 33 MB.
 MAX_SEARCH_CELLS = 300_000
 
 
@@ -257,15 +258,46 @@ def table_cells(pres_b: RingPresentation, bound: int) -> int:
     return (2 * bound + 1) ** pres_b.ngens * powers + sum(dims)
 
 
-def check_cells(g: int, bound: int, cells: int) -> None:
-    """Refuse a search with ``g`` generators whose tables hold at least
-    ``cells`` cells, when that is above :data:`MAX_SEARCH_CELLS`."""
-    if cells > MAX_SEARCH_CELLS:
-        raise ValueError(
-            f"bound {bound} with {g} generators gives a box of "
-            f"{(2 * bound + 1) ** g} columns and tables of at least {cells} "
-            f"cells, above the limit of {MAX_SEARCH_CELLS}"
-        )
+def admit(pres_a: RingPresentation, pres_b: RingPresentation,
+          bound: int) -> bool:
+    """Refuse, before anything is built, a search outside the engine's
+    preconditions or above the budget; otherwise say whether the Poincare
+    series agree (if not, no unimodular map exists at any bound).  In order:
+    a negative bound; the box, on the larger generator count g, as L^1 alone
+    holds g cells per box column; the series; then, for equal series,
+    non-homogeneous relations and, when tables are built (g, bound > 0),
+    the target's :func:`table_cells`.  The box is multiplied out only while
+    it can still fit: a larger one is named by its power, not in decimal."""
+    if bound < 0:
+        raise ValueError("bound must be non-negative")
+    g = max(pres_a.ngens, pres_b.ngens)
+    base, box = 2 * bound + 1, 1
+    for _ in range(g):
+        if box > MAX_SEARCH_CELLS:
+            break
+        box *= base
+    else:
+        cells = box * g
+        if cells <= MAX_SEARCH_CELLS:
+            if pres_a.poincare() != pres_b.poincare():
+                return False
+            if None in pres_a.weights or None in pres_b.weights:
+                raise IsoShapeError("search needs homogeneous relations")
+            cells = table_cells(pres_b, bound) if g and bound else 0
+            if cells <= MAX_SEARCH_CELLS:
+                return True
+        if base <= MAX_SEARCH_CELLS:
+            raise ValueError(
+                f"bound {bound} with {g} generators gives a box of {box} "
+                f"columns and tables of at least {cells} cells, above the "
+                f"limit of {MAX_SEARCH_CELLS}"
+            )
+    if base > MAX_SEARCH_CELLS:  # too long to print
+        bound, base = f"B of {bound.bit_length()} bits", "(2B+1)"
+    raise ValueError(
+        f"bound {bound} with {g} generators gives a box of {base}^{g} "
+        f"columns, above the limit of {MAX_SEARCH_CELLS} cells"
+    )
 
 
 def _lincomb(n: int, terms) -> Iterator[int]:
@@ -505,12 +537,12 @@ class _BoxPowers:
     width in use, one integer of len(columns) lanes per coordinate an
     index weights.  These are not counted in the budget below.
 
-    ``store`` maps a key to (value, cells), oldest first, for two kinds of
-    entry.  ``index(key)`` is the image index of the folded matrix A a walk
-    node's key names (``_ColumnWalk.node_rows``): one sorted list with a
-    lane per box column, its image under A packed into one exact integer,
-    shifted left past the column's box index, plus those box indices in the
-    same order; computed for all columns at once in the lanes (see
+    ``store`` maps a key to its value, for two kinds of entry.
+    ``index(key)`` is the image index of the folded matrix A a walk node's
+    key names (``_ColumnWalk.node_rows``): one sorted list with a lane per
+    box column, its image under A packed into one exact integer, shifted
+    left past the column's box index, plus those box indices in the same
+    order; computed for all columns at once in the lanes (see
     :func:`_image_index` and :func:`_survivors`), and len(columns) cells.
     The key is (n, ((a, e), q), ...), n the rank of the relation's weight
     and q the non-zero prefix values of each part x_d^e with e >= 1, a the
@@ -531,9 +563,8 @@ class _BoxPowers:
     of every weight, exactly :func:`table_cells`, and the store has the
     ``room`` they leave of :data:`MAX_SEARCH_CELLS`, so each target stays
     within that one budget, the packed coordinates of ``lanes`` apart.
-    ``held`` is the cells the store holds.  ``keep`` follows one rule: an
-    entry that does not fit drops the oldest entries first, and an entry
-    larger than the whole room is used but not kept.
+    ``keep`` stores an entry while ``room`` lasts, taking its cells from it;
+    one that does not fit is used but not kept, and none is ever dropped.
     """
 
     def __init__(self, pres_b: RingPresentation, bound: int):
@@ -556,20 +587,15 @@ class _BoxPowers:
         self.peaks = [max(map(abs, v)) for v in self.values]
         # an index key starts with the int n, a node key with a relation's
         # terms tuple, so the two kinds of key never collide
-        self.store: OrderedDict = OrderedDict()
+        self.store: dict = {}
         self.room = MAX_SEARCH_CELLS - table_cells(pres_b, bound)
-        self.held = 0
 
     def keep(self, key: tuple, value, cells: int):
-        """Store ``value`` under ``key`` as ``cells`` cells, dropping the
-        oldest entries until it fits, unless it alone is above the room;
-        return it either way."""
+        """Store ``value`` under ``key`` as ``cells`` cells if they fit in
+        the room left; return it either way."""
         if cells <= self.room:
-            store = self.store
-            while self.held + cells > self.room:
-                self.held -= store.popitem(last=False)[1][1]
-            store[key] = value, cells
-            self.held += cells
+            self.store[key] = value
+            self.room -= cells
         return value
 
     def index(self, key: tuple) -> tuple:
@@ -578,8 +604,8 @@ class _BoxPowers:
         over the power coordinates, and each part adds the prefix values q
         times its fold ``fold(a, e)``."""
         found = self.store.get(key)
-        if found:
-            return found[0]
+        if found is not None:
+            return found
         n, *parts = key
         mat = [[0] * len(self.peaks) for _ in range(n)]
         for part, q in parts:
@@ -728,15 +754,14 @@ class _ColumnWalk:
         if 0 < depth < g - 1:
             # root and last level unshared until ROADMAP item 1 (RSS per pass)
             node = (self.relation_keys[depth], *cols)
-            found = store.get(node)
-            children = (found[0] if found
-                        else self.children(node, depth, cols, wedge))
+            children = store.get(node)
+            if children is None:
+                children = self.children(node, depth, cols, wedge)
             for idx, grown in children:
                 yield from self.walk(depth + 1, cols + [idx], grown)
             return
         key, target = self.node_rows(depth, cols)
-        found = store.get(key)
-        hits = _survivors(found[0] if found else tables.index(key), target)
+        hits = _survivors(store.get(key) or tables.index(key), target)
         if depth < g - 1:
             # the root grows wedges lazily, as a search may stop early
             for idx in hits:
@@ -766,12 +791,9 @@ def _search_matrices(
     rejects is an engine bug, raised as RuntimeError)."""
     if pres_a.ngens == 0:
         found = [((), 1)]  # the empty matrix
-    elif None in pres_a.weights or None in pres_b.weights:
-        raise IsoShapeError("search needs homogeneous relations")
     elif bound == 0:
         found = ()  # the box holds only the zero column, in no certificate
     else:
-        check_cells(pres_b.ngens, bound, table_cells(pres_b, bound))
         found = _ColumnWalk(pres_a, _box_powers(pres_b, bound)).walk(
             0, [], {0: 1}
         )
@@ -781,23 +803,6 @@ def _search_matrices(
                 f"engine produced a non-verifying certificate {rows}"
             )
         yield rows, det
-
-
-def _check_searchable(pres_a: RingPresentation, pres_b: RingPresentation,
-                      bound: int) -> bool:
-    """Refuse a search outside the engine's preconditions; otherwise say
-    whether the Poincare series agree.  When they differ no
-    degree-preserving unimodular map exists at any bound, so every search
-    entry point short-circuits on False.  Every cap is at least 1, so the
-    degree-2 rank is the generator count and different counts always give
-    False.  The tables' first power L^1 alone holds g cells per box column,
-    so they are checked on the larger count g, and an oversized request is
-    refused whatever the pair."""
-    if bound < 0:
-        raise ValueError("bound must be non-negative")
-    g = max(pres_a.ngens, pres_b.ngens)
-    check_cells(g, bound, (2 * bound + 1) ** g * g)
-    return pres_a.poincare() == pres_b.poincare()
 
 
 def search(
@@ -810,7 +815,7 @@ def search(
     unimodular map can exist at any bound, and the verdict says so via its
     reason, ``betti_mismatch``, a proof.
     """
-    if not _check_searchable(pres_a, pres_b, bound):
+    if not admit(pres_a, pres_b, bound):
         return SearchVerdict(
             "none_within_bound", None, None, bound, "betti_mismatch"
         )
@@ -823,7 +828,7 @@ def search_all(
     pres_a: RingPresentation, pres_b: RingPresentation, bound: int = 3
 ) -> list[Matrix]:
     """Every certificate with entries in [-bound, bound], contract order."""
-    if not _check_searchable(pres_a, pres_b, bound):
+    if not admit(pres_a, pres_b, bound):
         return []
     return [rows for rows, _det in _search_matrices(pres_a, pres_b, bound)]
 

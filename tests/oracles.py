@@ -9,7 +9,7 @@ from itertools import product, repeat
 from operator import add
 
 from cptower import Poly, RingPresentation, verify
-from cptower.isosearch import _check_searchable
+from cptower.isosearch import admit
 from cptower.polyring import monomial_key
 
 
@@ -23,7 +23,7 @@ def search_all_reference(
     and keep each matrix ``verify`` accepts.  Pins the pruned engine's
     enumeration order and acceptance predicate.
     """
-    if not _check_searchable(pres_a, pres_b, bound):
+    if not admit(pres_a, pres_b, bound):
         return []
     g = pres_a.ngens
     # column-major flattening: column k occupies flat[k*g : (k+1)*g]

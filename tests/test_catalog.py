@@ -430,8 +430,9 @@ def test_sweep_report_is_pinned(theorem, n, digest):
 
 def test_sweep_builds_each_image_index_once(monkeypatch):
     # per target, every folded matrix A met by the walk gets its index built
-    # once and stays in the store; later nodes with the same A only look it
-    # up (each node_rows call is followed by one lookup)
+    # once and kept in the store, which never drops an entry; later nodes
+    # with the same A only look it up (each node_rows call is followed by
+    # one lookup)
     tables = []
     built = Counter()
     lookups = []
@@ -440,6 +441,7 @@ def test_sweep_builds_each_image_index_once(monkeypatch):
         def __init__(self, *args):
             tables.append(self)  # kept alive to read the stores after
             super().__init__(*args)
+            self.start = self.room
 
     def counting_index(lanes, peaks, a):
         built[id(lanes), a] += 1
@@ -463,10 +465,10 @@ def test_sweep_builds_each_image_index_once(monkeypatch):
     assert len(tables) == 10
     assert set(built.values()) == {1}
     # g = 2 has no interior level, so the stores hold indexes only, one per
-    # build: nothing was dropped
+    # build, and the room each spent is theirs: every index was kept
     width = len(tables[0].columns)
     assert sum(len(t.store) for t in tables) == len(built)
-    assert all(t.held == width * len(t.store) for t in tables)
+    assert all(t.start - t.room == width * len(t.store) for t in tables)
     assert len(lookups) - len(built) > len(built)  # hits outnumber builds
 
 
@@ -520,6 +522,20 @@ def test_sweep_shares_interior_nodes_across_sources(
     assert (rows[1], len(wedge_calls)) == (nodes, wedges)
     assert (rows[0], rows[2]) == (173, 6_354)  # root and last level unshared
     assert len(built) == len(set(built)) == 438
+
+
+def test_sweep_refuses_above_the_budget_before_any_row(monkeypatch):
+    # the largest three-stage target holds 2,066 table cells at bound 3:
+    # one cell less refuses the sweep up front, before any row is searched
+    def refuse(*args):
+        raise AssertionError("a refused sweep searched a row")
+
+    monkeypatch.setattr(isosearch, "MAX_SEARCH_CELLS", 2_065)
+    monkeypatch.setattr(catalog, "search", refuse)
+    with pytest.raises(ValueError, match="with 3 generators gives a box of "
+                       "343 columns and tables of at least 2066 cells, "
+                       "above the limit of 2065"):
+        sweep_distinctness("three-stage", 2, 3)
 
 
 @pytest.mark.parametrize("theorem, flag, keys", [

@@ -451,6 +451,42 @@ def test_iso_refuses_an_oversized_box(capsys):
         assert "box of 8120601 columns" in err
 
 
+# a bound whose 2B+1 has 1,501 digits, and the largest bound the argument
+# parser accepts, whose 2B+1 has 4,301: above what str() of an int may print
+HUGE_BOUNDS = ["1" + "0" * 1500, "9" * 4300]
+
+
+@pytest.mark.parametrize("bound", HUGE_BOUNDS)
+@pytest.mark.parametrize("argv", [
+    ("iso", "Zeta3:1,0,2", "Zeta3:0,1,2"),
+    ("sweep", "--theorem", "three-stage", "--range", "0"),
+])
+def test_a_huge_bound_is_refused_readably(capsys, argv, bound):
+    code, out, err = run_cli(capsys, *argv, "--bound", bound)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: bound B of {int(bound).bit_length()} bits with 3 generators "
+        "gives a box of (2B+1)^3 columns, above the limit of 300000 cells\n"
+    )
+
+
+def test_a_box_too_large_to_multiply_out_is_named_by_its_power(
+    capsys, tmp_path
+):
+    # 1,400 CP^1 stages: the box is multiplied out only while it can still
+    # fit, so neither refusal writes (2B+1)^1400 in decimal
+    spec_file = tmp_path / "tower.json"
+    spec_file.write_text(json.dumps(
+        {"stages": [{"fiber_dim": "1", "chern": [[], []]}] * 1400}
+    ))
+    tower = str(spec_file)
+    for bound, box in (("100", "201^1400"), ("7" * 4000, "(2B+1)^1400")):
+        code, out, err = run_cli(capsys, "iso", tower, tower, "--bound", bound)
+        assert (code, out) == (2, "")
+        assert f"with 1400 generators gives a box of {box} columns" in err
+        assert len(err) < 200
+
+
 # -- sweep ------------------------------------------------------------------
 
 

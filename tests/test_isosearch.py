@@ -4,7 +4,6 @@ import gc
 import itertools
 import random
 from array import array
-from collections import OrderedDict
 from fractions import Fraction
 from functools import cache
 
@@ -37,7 +36,7 @@ from cptower.isosearch import (
     _Lanes,
     _survivors,
     _wedge,
-    check_cells,
+    admit,
     images_from_matrix,
     table_cells,
 )
@@ -240,10 +239,7 @@ def test_the_cell_budget_admits_the_catalog():
     # depend on the Poincare series alone, the same at every range) and
     # (CP^1)^5 pass at bound 3, 3 x CP^20 only up to bound 2
     def legal(p, bound):
-        g = p.ngens
-        check_cells(g, bound, (2 * bound + 1) ** g * g)
-        check_cells(g, bound, table_cells(p, bound))
-        return True
+        return admit(p, p, bound)
 
     for theorem in THEOREMS:
         assert all(legal(presentation_of(fid), 3)
@@ -256,6 +252,8 @@ def test_the_cell_budget_admits_the_catalog():
         63_801, 261_761, 702_121
     ]
     assert legal(big, 2)
+    with pytest.raises(ValueError, match="tables of at least 702121 cells"):
+        legal(big, 3)
 
 
 @pytest.mark.parametrize("bound", [1, 2, 3])
@@ -679,9 +677,12 @@ def _counting_index(monkeypatch) -> list:
 
 
 def test_index_store_is_bounded(monkeypatch):
-    # room for two indexes of a 27-column box beside the tables: searches
-    # still match the reference while the store evicts
+    # room for two indexes of a 27-column box beside the tables, shared
+    # with interior nodes: the store fills and then keeps nothing more, and
+    # searches still match the reference while later indexes are rebuilt
+    # at each use
     built = _counting_index(monkeypatch)
+    made = _watch_stores(monkeypatch)
     _box_powers.cache_clear()
     try:
         for a, b in (("Zeta3:1,0,2", "Zeta3:0,1,2"),
@@ -692,9 +693,10 @@ def test_index_store_is_bounded(monkeypatch):
             built.clear()
             assert search_all(pa, pb, 1) == search_all_reference(pa, pb, 1)
             tables = _box_powers(pb, 1)  # the slot
-            assert tables.room == 2 * 27
-            assert sum(map(_is_index, tables.store)) <= 2
-            assert len(built) > len(set(built))  # evicted and rebuilt
+            assert tables is made[-1] and tables.start == 2 * 27
+            assert 1 <= sum(map(_is_index, tables.store)) <= 2
+            assert 0 <= tables.room < 27 and tables.refused  # full
+            assert len(built) > len(set(built))  # not kept, so rebuilt
     finally:
         _box_powers.cache_clear()
 
@@ -726,50 +728,44 @@ def test_memo_shared_by_sources_keeps_every_list(data):
         _box_powers.cache_clear()
 
 
-class _WatchedStore(OrderedDict):
-    """A store that records the ``last`` argument of every drop."""
-
-    def __init__(self, dropped: list):
-        super().__init__()
-        self.dropped = dropped
-
-    def popitem(self, last=True):
-        self.dropped.append(last)
-        return super().popitem(last)
-
-
-def _watch_stores(monkeypatch) -> tuple:
-    """Make every target's store check itself after each keep: its cells,
-    recounted, match ``held`` and stay within the room, and the entries
-    left are the latest kept, in the order kept, so the oldest go first.
-    Returns the tables made and the ``last`` argument of every drop."""
-    made, dropped = [], []
+def _watch_stores(monkeypatch) -> list:
+    """Make every target's store check itself after each keep: a key is
+    kept on a miss only, the cells kept never pass the room the tables
+    left (``start``), ``room`` is what they leave of it, and every entry
+    kept is still there, the same object, so none was dropped.  Entries
+    that did not fit are listed in ``refused``.  Returns the tables made."""
+    made = []
 
     class WatchedBoxPowers(isosearch._BoxPowers):
         def __init__(self, *args):
             super().__init__(*args)
-            self.store, self.kept = _WatchedStore(dropped), []
+            self.start, self.kept, self.refused = self.room, {}, []
             made.append(self)
 
         def keep(self, key, value, cells):
-            assert key not in self.store  # kept on a miss only
-            assert super().keep(key, value, cells) is value
             store = self.store
+            assert key not in store  # kept on a miss only
+            assert super().keep(key, value, cells) is value
             if key in store:
-                self.kept.append(key)
-            assert self.held == sum(c for _, c in store.values()) <= self.room
-            assert list(store) == self.kept[len(self.kept) - len(store):]
+                self.kept[key] = value, cells
+            else:
+                self.refused.append(key)
+            used = sum(c for _, c in self.kept.values())
+            assert used == self.start - self.room <= self.start
+            assert all(store[k] is v for k, (v, _) in self.kept.items())
+            assert len(store) == len(self.kept)
             return value
 
     monkeypatch.setattr(isosearch, "_BoxPowers", WatchedBoxPowers)
-    return made, dropped
+    return made
 
 
 def test_memo_stays_within_the_budget_at_its_edge(monkeypatch):
     # room for two indexes of a 27-column box and 20 node cells beside the
-    # tables: the store drops its oldest entries first, never holds more
-    # than its room, and every list still matches the reference
-    made, dropped = _watch_stores(monkeypatch)
+    # tables: the store keeps entries while the room lasts, never holds
+    # more than its room, never drops an entry it kept, and every list
+    # still matches the reference
+    made = _watch_stores(monkeypatch)
     pb = pres("Zeta3:0,1,2")
     monkeypatch.setattr(isosearch, "MAX_SEARCH_CELLS",
                         table_cells(pb, 1) + 2 * 27 + 20)
@@ -779,22 +775,22 @@ def test_memo_stays_within_the_budget_at_its_edge(monkeypatch):
         for a in ("Zeta3:1,0,2", "Zeta3:0,1,2", "Xi3:0,1,2", "Zeta3:1,0,2",
                   "Zeta3:0,1,2"):
             assert search_all(pres(a), pb, 1) == reference(a)
-        assert len(made) == 1 and made[0].room == 2 * 27 + 20
-        assert dropped and not any(dropped)  # oldest first
+        assert len(made) == 1 and made[0].start == 2 * 27 + 20
+        assert made[0].refused  # the room ran out
         # both kinds of entry were kept
         assert len(set(map(_is_index, made[0].kept))) == 2
     finally:
         _box_powers.cache_clear()
 
 
-def test_store_evicts_within_the_real_budget(monkeypatch):
+def test_store_fills_within_the_real_budget(monkeypatch):
     # 5-generator Bott towers at bound 3: 7^5 = 16,807 columns, so two
-    # indexes fill most of the room the tables leave, and the store drops
-    # entries under the unpatched budget.  The verdict and the folded
-    # matrices indexed are those of a budget that drops nothing; the
-    # smaller room only rebuilds indexes that were dropped
+    # indexes fill most of the room the tables leave, and the store has no
+    # room for a third under the unpatched budget.  The verdict and the
+    # folded matrices indexed are those of a budget the store never fills;
+    # the smaller room only rebuilds indexes it could not keep
     built = _counting_index(monkeypatch)
-    _, dropped = _watch_stores(monkeypatch)
+    made = _watch_stores(monkeypatch)
     pa, pb = bott(1, 1, 1, 1), bott(1, 2, 1, 1)
     assert table_cells(pb, 3) + 3 * 7 ** 5 > MAX_SEARCH_CELLS
     runs = []
@@ -804,15 +800,14 @@ def test_store_evicts_within_the_real_budget(monkeypatch):
             monkeypatch.setattr(isosearch, "MAX_SEARCH_CELLS", cells)
             _box_powers.cache_clear()
             built.clear()
-            dropped.clear()
             runs.append((search(pa, pb, 3), sorted(set(built)), len(built),
-                         len(dropped)))
+                         len(made[-1].refused)))
     finally:
         _box_powers.cache_clear()
-    (verdict, indexed, builds, drops), raised = runs
+    (verdict, indexed, builds, refused), raised = runs
     assert verdict.reason == "exhausted"
     assert raised == (verdict, indexed, len(indexed), 0)
-    assert (len(indexed), builds) == (43, 51) and drops
+    assert (len(indexed), builds) == (43, 51) and refused
 
 
 def test_search_frees_its_tables_on_return():
