@@ -33,6 +33,7 @@ import sys
 from collections import namedtuple
 from functools import lru_cache
 
+from . import __version__
 from .isosearch import SearchVerdict, admit, search, verify
 from .polyring import Poly
 from .towers import (
@@ -45,12 +46,6 @@ from .towers import (
 )
 
 THEOREMS = ("main", "two-stage", "three-stage", "eight-dim")
-
-
-def _tool_version() -> str:
-    from . import __version__
-
-    return __version__
 
 
 class FamilyId(namedtuple("FamilyId", "tag params")):
@@ -438,7 +433,7 @@ def _cache_key(
 
     # repr of nested int tuples is injective and holds no "|"
     key = (
-        f"cpt/1|{_tool_version()}|{pres_a.identity!r}|{pres_b.identity!r}"
+        f"cpt/1|{__version__}|{pres_a.identity!r}|{pres_b.identity!r}"
         f"|{bound}"
     )
     return hashlib.sha256(key.encode("utf-8")).hexdigest()
@@ -455,9 +450,11 @@ def _cached_search(
 
     A pair whose Poincare series differ is decided before any file is
     opened: its ``betti_mismatch`` verdict is returned with no cache read
-    or write, so the cache holds no such verdict.  Every field of a cached
-    verdict is checked before it is trusted (see :func:`_check_cached`);
-    an entry that fails, or cannot be read, is recomputed and overwritten.
+    or write, so the cache holds no such verdict.  An entry is read in one
+    binary read and decoded as strict UTF-8, so a byte-order mark or an
+    invalid byte makes it unreadable.  Every field of a cached verdict is
+    checked before it is trusted (see :func:`_check_cached`); an entry that
+    fails, or cannot be read, is recomputed and overwritten.
     A failed cache write costs only a warning on stderr, once per directory
     and process: the computed verdict is still returned.
     """
@@ -465,8 +462,9 @@ def _cached_search(
         return search(pres_a, pres_b, bound)
     path = os.path.join(cache_dir, f"{_cache_key(pres_a, pres_b, bound)}.json")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            verdict = SearchVerdict.from_json(json.load(fh), bound=bound)
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+        verdict = SearchVerdict.from_json(json.loads(text), bound=bound)
         _check_cached(verdict, pres_a, pres_b, bound)
         return verdict
     except (OSError, ValueError, KeyError, TypeError, RecursionError):

@@ -18,7 +18,9 @@ strings.  Exit codes: 0 success (for ``iso``: certificate found; for
 The argument parser is built on the first :func:`main` call and shared by
 every later call in the process, so calling ``main`` repeatedly (as the
 verdict-cache traffic of ``cpt iso`` does) costs only the parse and the
-subcommand.  The ``_cmd_*`` handlers are bound into it at that first build.
+subcommand; a command line that starts with a subcommand name is parsed
+by that subcommand's parser alone.  The ``_cmd_*`` handlers are bound into
+the parser at its first build.
 """
 
 from __future__ import annotations
@@ -357,7 +359,9 @@ def _build_parser() -> argparse.ArgumentParser:
     and ``sys.stderr`` only when it prints, so one parser serves every
     call.  Each subcommand's handler is bound through
     ``set_defaults(func=...)`` at this first build; replacing a ``_cmd_*``
-    function afterwards does not reach the parser.
+    function afterwards does not reach the parser.  ``parser.commands``
+    maps each subcommand name to its parser, which :func:`main` uses to
+    parse a command line that starts with that name.
     """
     parser = argparse.ArgumentParser(
         prog="cpt",
@@ -459,17 +463,45 @@ def _build_parser() -> argparse.ArgumentParser:
     cat.add_argument("--json", action="store_true")
     cat.set_defaults(func=_cmd_catalog_list)
 
+    parser.commands = sub.choices
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``, in one argparse pass when
+    ``argv`` starts with a subcommand name.
+
+    The top-level parser hands every argument after the name to that
+    subcommand's parser, so parsing them there directly gives the same
+    namespace and the same errors; only a leftover argument is reported by
+    the top-level parser, as its ``parse_args`` does.  The one error the
+    top-level parser raises on the arguments it hands on is for an argument
+    that starts ``--=``: the empty option name before the ``=`` is a prefix
+    of both ``--help`` and ``--version``.  Such a command line keeps the
+    full parse, as does any that starts with no subcommand name.
+    """
+    parser = _build_parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None or any(arg.startswith("--=") for arg in argv):
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
-    """Run one ``cpt`` command line; returns the exit code.
+    """Run one ``cpt`` command line (``sys.argv[1:]`` when ``argv`` is
+    None); returns the exit code.
 
     The parser comes from :func:`_build_parser`, built on the first call and
-    reused by every later one in the process.
+    reused by every later one in the process.  A command line that starts
+    with a subcommand name costs one argparse pass, by that subcommand's
+    parser (see :func:`_parse`).
     """
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -26,6 +26,7 @@ from cptower import (
 from cptower import catalog, isosearch
 from cptower.catalog import (
     THEOREMS,
+    _cache_key,
     _cached_search,
     _plan_rows,
     cp_spec,
@@ -597,6 +598,43 @@ def test_cached_search_ignores_corrupt_entries(tmp_path):
     cache_file.write_text("not json at all")
     again = _cached_search(a, b, 2, str(tmp_path))
     assert again.to_json() == first.to_json()
+
+
+@pytest.mark.parametrize("entry", [
+    lambda text: b"\xef\xbb\xbf" + text,  # json.loads(bytes) would take it
+    lambda text: b'{"note": "\xff", ' + text[1:],  # an invalid UTF-8 byte
+    lambda text: b"",
+], ids=["utf-8-bom", "invalid-utf-8", "empty"])
+def test_cached_search_recomputes_an_undecodable_entry(
+    tmp_path, monkeypatch, entry
+):
+    a, b = pres("GB2:1"), pres("GB2:2")
+    fresh = json.dumps(search(a, b, 2).to_json()).encode("utf-8")
+    cache_file = cache_entry_path(tmp_path, "GB2:1", "GB2:2", 2)
+    cache_file.write_bytes(entry(fresh))
+    searches = []
+
+    def counting_search(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(catalog, "search", counting_search)
+    assert json.dumps(_cached_search(a, b, 2, str(tmp_path)).to_json()) == (
+        fresh.decode("utf-8")
+    )
+    assert len(searches) == 1
+    assert cache_file.read_bytes() == fresh  # rewritten
+
+
+@pytest.mark.parametrize("a, b, digest", [
+    ("GB2:1", "GB2:2",
+     "c9229f106963b4b9a983364307670d902954c42610f32fdd28c75584e12fa7b5"),
+    ("Eta2:1,2", "Eta2:1,-2",
+     "760738322970404ecba6807479b068db7abc60430cc86a10599d506ab2b9986b"),
+])
+def test_cache_key_is_pinned(a, b, digest):
+    # the names of cache files written by earlier runs of this version
+    assert _cache_key(pres(a), pres(b), 2) == digest
 
 
 def test_cached_search_survives_a_too_deeply_nested_entry(tmp_path):

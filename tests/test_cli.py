@@ -21,6 +21,7 @@ from cptower.towers import MAX_FIBER_DIM
 from cptower.cli import (
     _build_parser,
     _dumps,
+    _parse,
     format_poly,
     main,
     parse_poly_text,
@@ -778,6 +779,60 @@ def test_shared_parser_matches_a_parser_per_call(capsys, calls, codes):
 
 def test_parser_is_built_once():
     assert _build_parser() is _build_parser()
+
+
+def _main_by_full_parse(argv):
+    """``main`` as it runs every command line through the top-level
+    ``parse_args``."""
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["-h"],
+    ["--version"],
+    ["bogus", "GB2:1"],
+    ["--", "iso", "GB2:1", "GB2:2", "--bound", "1"],
+    ["iso", "--", "GB2:1", "GB2:2", "--bound", "1"],
+    ["iso", "GB2:1", "GB2:2", "--", "--bound", "1"],
+    ["iso", "GB2:1", "GB2:2", "--foo"],
+    ["iso", "GB2:1", "GB2:2", "--version"],
+    ["iso", "GB2:1", "GB2:2", "--bound", "x"],
+    ["iso", "GB2:1", "GB2:2", "--=x"],  # ambiguous to the top-level parser
+    ["iso", "-h"],
+    ["iso", "GB2:1", "GB2:2", "--bound", "1"],
+    ["chern", "milnor", "1", "2"],
+    ["chern", "milnor", "1", "2", "x"],
+])
+def test_subcommand_dispatch_matches_the_full_parse(capsys, argv):
+    full = _main_by_full_parse(list(argv)), *capsys.readouterr()
+    assert run_cli(capsys, *argv) == full
+
+
+@pytest.mark.parametrize("argv", [
+    ["iso", "GB2:1", "GB2:2", "--bound", "1", "--all"],
+    ["chern", "milnor", "1", "2"],
+    ["sweep", "--theorem", "main"],
+])
+def test_subcommand_dispatch_gives_the_full_namespace(argv):
+    assert vars(_parse(argv)) == vars(_build_parser().parse_args(argv))
+
+
+def test_main_reads_sys_argv_without_an_argv(capsys, monkeypatch):
+    # the console script calls main() with no argument
+    monkeypatch.setattr(sys, "argv", ["cpt", "iso", "GB2:1", "GB2:2", "--foo"])
+    code = main()
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.endswith("cpt: error: unrecognized arguments: --foo\n")
 
 
 # -- JSON writer -------------------------------------------------------------
