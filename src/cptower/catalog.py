@@ -63,7 +63,7 @@ class FamilyId(namedtuple("FamilyId", "tag params")):
             raise ValueError(
                 f"family {tag} takes {arity} parameter(s), got {len(params)}"
             )
-        return super().__new__(cls, tag, tuple(int(p) for p in params))
+        return super().__new__(cls, tag, tuple(map(int, params)))
 
     # namedtuple's _make, which _replace calls, would skip the checks
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -75,7 +75,7 @@ class FamilyId(namedtuple("FamilyId", "tag params")):
         if not sep:
             return cls(tag, ())
         try:
-            params = tuple(int(p) for p in rest.split(","))
+            params = tuple(map(int, rest.split(",")))
         except ValueError:
             raise ValueError(f"malformed family id {text!r}") from None
         return cls(tag, params)

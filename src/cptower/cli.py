@@ -10,7 +10,10 @@ catalog-list  print the family ids a sweep would cover
 
 Tower arguments accept three spellings everywhere: a catalog id
 ("Family:params", e.g. "Eta2:0,-3"), a base id ("CPn" or a Hirzebruch
-surface "Hk", k any integer), or a path to a tower JSON file.  All emitted
+surface "Hk", k any integer), or a path to a tower JSON file.  They are
+tried in this order: text with a path separator or a ".json" suffix is a
+path; then a base id; then a catalog id; then any other existing file (see
+:func:`resolve_ring_arg`).  All emitted
 JSON carries ``"schema": "cpt/1"`` and serializes integers as decimal
 strings.  Exit codes: 0 success (for ``iso``: certificate found; for
 ``sweep``: zero failures), 1 negative verdict, 2 usage or input errors.
@@ -61,18 +64,35 @@ _SCHEMA = "cpt/1"
 # -- tower argument resolution ---------------------------------------------
 
 
+# a base id: CP^n, or the Hirzebruch surface H_k
+_BASE_ID = re.compile(r"CP([0-9]+)|H(-?[0-9]+)")
+
+
+def _read_tower(path: str) -> TowerSpec:
+    with open(path, "r", encoding="utf-8") as fh:
+        return towerspec_from_json(json.load(fh))
+
+
 def resolve_ring_arg(text: str) -> TowerSpec:
-    """Catalog id, base id (CPn / Hk), or path to a tower JSON file."""
-    if os.path.sep in text or text.endswith(".json") or os.path.exists(text):
-        with open(text, "r", encoding="utf-8") as fh:
-            return towerspec_from_json(json.load(fh))
-    m = re.fullmatch(r"CP([0-9]+)", text)
+    """The tower a command-line argument names, read in this order: text
+    with a path separator or a ``.json`` suffix is a path; then a base id
+    (CPn / Hk); then a catalog id; then any other existing file is a
+    tower JSON file.  So a file named like an id never shadows the id, and
+    an id costs no filesystem lookup.  Text that is none of these fails
+    with the catalog id's error."""
+    if os.path.sep in text or text.endswith(".json"):
+        return _read_tower(text)
+    m = _BASE_ID.fullmatch(text)
     if m:
-        return cp_spec(int(m.group(1)))
-    m = re.fullmatch(r"H(-?[0-9]+)", text)
-    if m:
-        return hirzebruch_spec(int(m.group(1)))
-    return build(FamilyId.parse(text))
+        n, k = m.groups()
+        return cp_spec(int(n)) if n is not None else hirzebruch_spec(int(k))
+    try:
+        fid = FamilyId.parse(text)
+    except ValueError:
+        if os.path.exists(text):
+            return _read_tower(text)
+        raise
+    return build(fid)
 
 
 def _resolve_presentation(text: str) -> RingPresentation:

@@ -67,36 +67,40 @@ class Stage(namedtuple("Stage", "fiber_dim chern")):
     __slots__ = ()
 
 
-def _check_stage(idx: int, stage: Stage) -> None:
+def _check_stage(idx: int, stage: Stage) -> int:
     """Raise TowerSpecError unless ``stage`` fits as stage ``idx`` (from 1)
     of a tower: its fiber size and its Chern classes, in the idx - 1 earlier
-    generators and homogeneous of their degrees."""
+    generators and homogeneous of their degrees.  Returns the number of its
+    Chern terms."""
     base_gens = idx - 1
-    if stage.fiber_dim < 1:
+    n, chern = stage
+    if n < 1:
         raise TowerSpecError(
             f"stage {idx} fiber_dim must be at least 1 (fiber at least CP^1)"
         )
-    if stage.fiber_dim > MAX_FIBER_DIM:
+    if n > MAX_FIBER_DIM:
         raise TowerSpecError(
-            f"stage {idx} fiber_dim {stage.fiber_dim} is above the "
-            f"limit of {MAX_FIBER_DIM}"
+            f"stage {idx} fiber_dim {n} is above the limit of {MAX_FIBER_DIM}"
         )
-    rank = stage.fiber_dim + 1
-    if len(stage.chern) != rank:
+    if len(chern) != n + 1:
         raise TowerSpecError(
-            f"stage {idx} expects {rank} chern classes, got {len(stage.chern)}"
+            f"stage {idx} expects {n + 1} chern classes, got {len(chern)}"
         )
-    for i, c in enumerate(stage.chern, start=1):
+    terms = 0
+    for i, c in enumerate(chern, start=1):
         if c.nvars != base_gens:
             raise TowerSpecError(
                 f"stage {idx} chern entry {i} must be a polynomial in "
                 f"{base_gens} generators, got {c.nvars}"
             )
-        if not c.is_homogeneous(i):
+        # the zero class, the most common one, is homogeneous of any degree
+        if c.terms and not c.is_homogeneous(i):
             raise TowerSpecError(
                 f"stage {idx} chern entry {i} must be homogeneous of "
                 f"cohomological degree {2 * i}"
             )
+        terms += len(c.terms)
+    return terms
 
 
 def _check_tower_size(g: int, terms: int) -> None:
@@ -117,11 +121,10 @@ class TowerSpec(namedtuple("TowerSpec", "stages")):
     __slots__ = ()
 
     def __new__(cls, stages):
+        terms = 0
         for idx, stage in enumerate(stages, start=1):
-            _check_stage(idx, stage)
-        _check_tower_size(len(stages), sum(
-            len(c.terms) for stage in stages for c in stage.chern
-        ))
+            terms += _check_stage(idx, stage)
+        _check_tower_size(len(stages), terms)
         return super().__new__(cls, stages)
 
     # namedtuple's _make, which _replace calls, would skip the checks
@@ -146,6 +149,12 @@ class RingPresentation:
     ``weights[k]`` is the common weight of relation k's terms, or None when
     they are mixed (computed once, here).
 
+    The constructor sorts each relation's terms once, and that one pass
+    gives the relation's identity, its rewriting tail, its weight and the
+    monic check: x_k^(cap+1) leads with coefficient 1 exactly when every
+    other term is lighter, or as heavy with no generator after x_k (the
+    order of :mod:`cptower.polyring`).
+
     ``identity`` is the presentation's canonical identity: the caps and each
     relation's terms in sorted order, as nested tuples of ints.  Two
     presentations are equal exactly when their identities are, since every
@@ -155,50 +164,65 @@ class RingPresentation:
     """
 
     def __init__(self, caps: Sequence[int], relations: Sequence[Poly]):
-        caps = tuple(int(n) for n in caps)
+        caps = tuple(map(int, caps))
         relations = tuple(relations)
         g = len(caps)
         if len(relations) != g:
             raise ValueError("need one relation per generator")
         tails: list[list[tuple[Monomial, int]]] = []
+        weights: list[int | None] = []
+        keys: list[tuple] = []
         for k, (cap, rel) in enumerate(zip(caps, relations)):
             if cap < 1:
                 raise ValueError(f"cap for generator {k + 1} must be >= 1")
             if rel.nvars != g:
                 raise ValueError("relations must live in the full ambient ring")
-            lead = [0] * g
-            lead[k] = cap + 1
-            lead_mono = tuple(lead)
-            mono, coeff = rel.leading()
-            if mono != lead_mono or coeff != 1:
+            top = cap + 1
+            lead = (0,) * k + (top,) + (0,) * (g - k - 1)
+            # the monic check of the class docstring
+            monic = rel.terms.get(lead) == 1
+            weight = top
+            tail = []
+            items = sorted(rel.terms.items())
+            for m, c in items:
+                if m != lead:
+                    w = sum(m)
+                    if w != top:
+                        weight = None
+                        if w > top:
+                            monic = False
+                    elif any(m[k + 1:]):
+                        monic = False
+                    tail.append((m, c))
+            if not monic:
                 raise ValueError(
                     f"relation {k + 1} must be monic with leading monomial "
-                    f"x_{k + 1}^{cap + 1}"
+                    f"x_{k + 1}^{top}"
                 )
-            tails.append(
-                [(m, c) for m, c in rel.terms.items() if m != lead_mono]
-            )
+            tails.append(tail)
+            weights.append(weight)
+            keys.append(tuple(items))
         self.caps = caps
         self.relations = relations
         self.ngens = g
-        self.weights = tuple(rel.homogeneous_weight() for rel in relations)
+        self.weights = tuple(weights)
         self._tails = tails
-        self.identity = (
-            caps,
-            tuple(tuple(sorted(rel.terms.items())) for rel in relations),
-        )
+        self.identity = (caps, tuple(keys))
         self._hash = hash(self.identity)
         self._nf_memo: dict[Monomial, dict[Monomial, int]] = {}
         # homogeneous relations grade the ring, which is 0 above this weight
         self._top_weight = sum(caps) if None not in self.weights else None
-        # convolution of (1, 1, ..., 1) blocks, one per stage
+        # convolution of (1, 1, ..., 1) blocks, one per stage: each new
+        # coefficient is a running sum of the last cap + 1 old ones
         coeffs = [1]
         for cap in caps:
-            new = [0] * (len(coeffs) + cap)
-            for i, c in enumerate(coeffs):
-                for j in range(cap + 1):
-                    new[i + j] += c
-            coeffs = new
+            padded = coeffs + [0] * cap
+            run, coeffs = 0, []
+            for i, c in enumerate(padded):
+                run += c
+                if i > cap:
+                    run -= padded[i - cap - 1]
+                coeffs.append(run)
         self._poincare = tuple(coeffs)
 
     # -- identity ---------------------------------------------------------
@@ -387,13 +411,12 @@ def presentation(spec: TowerSpec) -> RingPresentation:
     reduced in it, only for a stage with a Chern monomial above the caps so
     far.
     """
-    g = spec.ngens
+    stages = spec.stages
+    g = len(stages)
     caps: list[int] = []
     relations: list[Poly] = []
-    for k, stage in enumerate(spec.stages):
-        n = stage.fiber_dim
-        chern = stage.chern
-        if any(any(map(gt, mono, caps)) for c in chern for mono in c.terms):
+    for k, (n, chern) in enumerate(stages):
+        if _above_caps(chern, caps):
             base = RingPresentation(caps, [_restrict(r, k) for r in relations])
             chern = [base.normal_form(c) for c in chern]
         # c_i shifts by x_k^(n+1-i): the exponents of x_k are all distinct,
@@ -401,11 +424,23 @@ def presentation(spec: TowerSpec) -> RingPresentation:
         pad = (0,) * (g - k - 1)
         terms: dict[Monomial, int] = {(0,) * k + (n + 1,) + pad: 1}
         for i, c in enumerate(chern, start=1):
-            for mono, coeff in c.terms.items():
-                terms[mono + (n + 1 - i,) + pad] = coeff
+            if c.terms:
+                shift = (n + 1 - i,) + pad
+                for mono, coeff in c.terms.items():
+                    terms[mono + shift] = coeff
         caps.append(n)
         relations.append(Poly(g, terms))
     return RingPresentation(caps, relations)
+
+
+def _above_caps(chern: Sequence[Poly], caps: Sequence[int]) -> bool:
+    """Whether a monomial of some class in ``chern`` has an exponent above
+    its generator's cap."""
+    for c in chern:
+        for mono in c.terms:
+            if any(map(gt, mono, caps)):
+                return True
+    return False
 
 
 def _restrict(p: Poly, nvars: int) -> Poly:

@@ -383,36 +383,38 @@ def test_sweep_builds_each_target_table_once(monkeypatch):
 
 def test_sweep_derives_source_data_once_per_presentation(monkeypatch):
     # a source's relation splits are made once per distinct presentation
-    # (M8 ids differing only in alpha share one), and each relation's
-    # homogeneity weight once, however many rows search it
+    # (M8 ids differing only in alpha share one), and each family id's
+    # presentation, which derives its relations' weights, is built once,
+    # however many rows search it
     splits = []
-    weights = Counter()
-    split, weight = isosearch._split_relation, Poly.homogeneous_weight
+    built = Counter()
+    split, init = isosearch._split_relation, RingPresentation.__init__
 
     def counting_split(rel, depth):
         splits.append(depth)
         return split(rel, depth)
 
-    def counting_weight(self):
-        weights[id(self)] += 1
-        return weight(self)
+    def counting_init(self, caps, relations):
+        init(self, caps, relations)
+        built[self.identity] += 1
 
     monkeypatch.setattr(isosearch, "_split_relation", counting_split)
-    monkeypatch.setattr(Poly, "homogeneous_weight", counting_weight)
+    monkeypatch.setattr(RingPresentation, "__init__", counting_init)
     monkeypatch.setattr(isosearch, "_splits", weakref.WeakKeyDictionary())
-    presentation_of.cache_clear()  # rebuilt, so their weights are counted
+    presentation_of.cache_clear()  # rebuilt, so their builds are counted
     try:
         report = sweep_distinctness("eight-dim", 2, 2)
         plan = _plan_rows("eight-dim", 2)
+        ids = {f for row in plan for f in row[:2]}
         sources = {presentation_of(a) for a, *_ in plan}
+        per_id = Counter(presentation_of(f).identity for f in ids)
     finally:
         presentation_of.cache_clear()
     assert report["summary"]["failures"] == "0"
     assert len(plan) == 120 and len(sources) == 10
     assert sorted(splits) == sorted([0, 1] * len(sources))
-    # one presentation, of two relations, per family id
-    assert len(weights) == 2 * len({f for row in plan for f in row[:2]})
-    assert set(weights.values()) == {1}
+    # one presentation per family id
+    assert len(ids) == 15 and built == per_id
 
 
 @pytest.mark.parametrize("theorem, n, digest", [

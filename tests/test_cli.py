@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import cptower
 from cptower import Poly, chern, towerspec_to_json
-from cptower.catalog import cp_spec, sweep_distinctness
+from cptower.catalog import FamilyId, build, cp_spec, sweep_distinctness
 from cptower.towers import MAX_FIBER_DIM
 from cptower.cli import (
     _build_parser,
@@ -288,6 +288,25 @@ def test_resolve_ring_arg_spellings():
     assert resolve_ring_arg("CP3").ngens == 1
     assert resolve_ring_arg("H-3").stages[1].chern[0] == Poly(1, {(1,): -3})
     assert resolve_ring_arg("Zeta3:1,0,2").ngens == 3
+
+
+def test_ids_come_before_files_of_the_same_name(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    # a junk file named like a catalog id does not shadow the id
+    (tmp_path / "GB2:1").write_text("not a tower")
+    assert resolve_ring_arg("GB2:1") == build(FamilyId("GB2", (1,)))
+    code, out, err = run_cli(capsys, "ring", "GB2:1")
+    assert (code, err) == (0, "")
+    assert "caps: 1 2" in out
+    # a plain file with no separator and no .json suffix is a tower file
+    (tmp_path / "mytower").write_text(json.dumps(towerspec_to_json(cp_spec(2))))
+    assert resolve_ring_arg("mytower") == cp_spec(2)
+    # text that is neither an id nor a file keeps the catalog's error
+    with pytest.raises(ValueError, match="unknown family tag 'Nope'"):
+        resolve_ring_arg("Nope:1")
+    code, out, err = run_cli(capsys, "ring", "Nope:1")
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: unknown family tag 'Nope'"
 
 
 # -- iso --------------------------------------------------------------------

@@ -326,6 +326,65 @@ def test_presentation_validation():
     assert p1 == p2 and hash(p1) == hash(p2)
 
 
+@st.composite
+def near_monic_relations(draw):
+    """1-3 caps in [1, 2], and per generator a relation of up to 3 terms
+    with exponents in [0, 3] and coefficients in [-2, 2], mostly with the
+    monic leading power added."""
+    g = draw(st.integers(1, 3))
+    caps = draw(st.lists(st.integers(1, 2), min_size=g, max_size=g))
+    relations = []
+    for k, cap in enumerate(caps):
+        terms = draw(st.dictionaries(
+            st.tuples(*[st.integers(0, 3)] * g), st.integers(-2, 2),
+            max_size=3,
+        ))
+        if draw(st.integers(0, 3)):
+            terms[(0,) * k + (cap + 1,) + (0,) * (g - k - 1)] = 1
+        relations.append(Poly(g, terms))
+    return caps, relations
+
+
+_Y2 = Poly(2, {(0, 2): 1})
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_monic_relations())
+@example(((1, 1), [Poly(2, {(2, 0): 1, (1, 1): 1}), _Y2]))  # x_2 after x_1
+@example(((1, 1), [Poly(2, {(2, 0): 1, (0, 3): 1}), _Y2]))  # heavier
+@example(((1, 1), [Poly(2, {(2, 0): 2}), _Y2]))  # coefficient 2
+@example(((1, 1), [Poly(2, {(1, 0): 1}), _Y2]))  # no leading power
+@example(((1, 1), [Poly(2, {}), _Y2]))  # zero relation
+@example(((1, 1), [Poly(2, {(2, 0): 1}),  # as heavy, x_1 before x_2
+                   Poly(2, {(0, 2): 1, (1, 1): 3, (1, 0): -1})]))
+def test_monic_check_and_weights_match_the_reference(case):
+    # the one sorted pass over each relation against Poly.leading and
+    # Poly.homogeneous_weight, the identity and tails against their
+    # definitions
+    caps, relations = case
+    g = len(caps)
+    for k, (cap, rel) in enumerate(zip(caps, relations)):
+        lead = (0,) * k + (cap + 1,) + (0,) * (g - k - 1)
+        if not rel or rel.leading() != (lead, 1):
+            with pytest.raises(ValueError) as info:
+                RingPresentation(caps, relations)
+            assert str(info.value) == (
+                f"relation {k + 1} must be monic with leading monomial "
+                f"x_{k + 1}^{cap + 1}"
+            )
+            return
+    pres = RingPresentation(caps, relations)
+    assert pres.weights == tuple(r.homogeneous_weight() for r in relations)
+    assert pres.identity == (tuple(caps), tuple(
+        tuple(sorted(r.terms.items())) for r in relations
+    ))
+    for k, (cap, rel) in enumerate(zip(caps, relations)):
+        lead = (0,) * k + (cap + 1,) + (0,) * (g - k - 1)
+        assert dict(pres._tails[k]) == {
+            m: c for m, c in rel.terms.items() if m != lead
+        }
+
+
 # -- normal forms -----------------------------------------------------------
 
 
