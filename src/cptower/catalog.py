@@ -393,33 +393,39 @@ def _plan_rows(theorem: str, n: int) -> list[tuple]:
 _unwritable_cache_dirs: set = set()
 
 
-def _check_cached(
-    verdict: SearchVerdict,
-    pres_a: RingPresentation,
-    pres_b: RingPresentation,
-    bound: int,
-) -> None:
-    """Raise ValueError unless every field of a cached verdict is one a
-    search at ``bound`` of a pair with equal Poincare series could have
-    printed (the cache holds no other pairs).
+def _entry_text(verdict: SearchVerdict) -> str:
+    """The one text the cache writes, and trusts, for ``verdict``."""
+    # one C-encoded call: json.dump streams through the pure-Python encoder
+    return json.dumps(verdict.to_json())
 
-    A certificate must verify, carry its own determinant and stay inside
-    the bound.  A negative verdict must carry the requested bound and say
-    ``exhausted``.  That it was truly exhausted is not re-checked: only a
-    new search could.
+
+def _trusted_entry(text: str, pres_a: RingPresentation,
+                   pres_b: RingPresentation, bound: int) -> SearchVerdict:
+    """The verdict a cache entry claims, re-derived; raise ValueError
+    unless the entry is byte for byte its :func:`_entry_text`.
+
+    A bounded exhaustion at ``bound`` has one text; that the box was truly
+    exhausted is not re-checked, as only a new search could.  A certificate
+    is re-derived from its matrix alone: g x g before any determinant is
+    computed, every entry within ``bound``, the determinant computed here,
+    and :func:`verify` must accept it.
     """
-    if verdict.found:
-        if not verify(pres_a, pres_b, verdict.matrix):
-            raise ValueError("cached certificate fails verification")
-        if verdict.det != matrix_det(verdict.matrix):
-            raise ValueError("cached determinant is wrong")
-        if any(abs(e) > bound for row in verdict.matrix for e in row):
-            raise ValueError("cached certificate exceeds the bound")
-        return
-    if verdict.bound != bound:
-        raise ValueError("cached verdict is for another bound")
-    if verdict.reason != "exhausted":
-        raise ValueError(f"cached reason {verdict.reason!r} is not exhausted")
+    exhausted = SearchVerdict(
+        "none_within_bound", None, None, bound, "exhausted"
+    )
+    if text == _entry_text(exhausted):
+        return exhausted
+    rows = json.loads(text)["matrix"]
+    g = pres_a.ngens
+    if len(rows) != g or any(len(row) != g for row in rows):
+        raise ValueError("cached matrix is not g x g")
+    matrix = tuple(tuple(map(int, row)) for row in rows)
+    if any(abs(e) > bound for row in matrix for e in row):
+        raise ValueError("cached certificate exceeds the bound")
+    verdict = SearchVerdict("found", matrix, matrix_det(matrix), bound, None)
+    if _entry_text(verdict) != text or not verify(pres_a, pres_b, matrix):
+        raise ValueError("cached entry is not one a search writes")
+    return verdict
 
 
 def _cache_key(
@@ -452,9 +458,10 @@ def _cached_search(
     opened: its ``betti_mismatch`` verdict is returned with no cache read
     or write, so the cache holds no such verdict.  An entry is read in one
     binary read and decoded as strict UTF-8, so a byte-order mark or an
-    invalid byte makes it unreadable.  Every field of a cached verdict is
-    checked before it is trusted (see :func:`_check_cached`); an entry that
-    fails, or cannot be read, is recomputed and overwritten.
+    invalid byte makes it unreadable.  An entry is trusted only when it is
+    byte for byte the text that re-deriving its claim writes (see
+    :func:`_trusted_entry`); any other entry, or one that cannot be read,
+    is recomputed and overwritten.
     A failed cache write costs only a warning on stderr, once per directory
     and process: the computed verdict is still returned.
     """
@@ -464,19 +471,16 @@ def _cached_search(
     try:
         with open(path, "rb") as fh:
             text = fh.read().decode("utf-8")
-        verdict = SearchVerdict.from_json(json.loads(text), bound=bound)
-        _check_cached(verdict, pres_a, pres_b, bound)
-        return verdict
-    except (OSError, ValueError, KeyError, TypeError, RecursionError):
+        return _trusted_entry(text, pres_a, pres_b, bound)
+    except (OSError, ValueError, KeyError, TypeError, OverflowError,
+            RecursionError):
         pass
     verdict = search(pres_a, pres_b, bound)
     tmp = f"{path}.tmp{os.getpid()}"
     try:
         os.makedirs(cache_dir, exist_ok=True)
         with open(tmp, "w", encoding="utf-8") as fh:
-            # one write of the C-encoded text: json.dump streams through
-            # the pure-Python encoder
-            fh.write(json.dumps(verdict.to_json()))
+            fh.write(_entry_text(verdict))
         os.replace(tmp, path)
     except OSError as exc:
         if cache_dir not in _unwritable_cache_dirs:

@@ -127,23 +127,6 @@ class SearchVerdict(namedtuple("SearchVerdict", "result matrix det bound reason"
             "reason": self.reason,
         }
 
-    @classmethod
-    def from_json(cls, data, bound: int | None = None) -> "SearchVerdict":
-        if not isinstance(data, dict) or "result" not in data:
-            raise ValueError("malformed verdict")
-        if data["result"] == "found":
-            matrix = tuple(
-                tuple(int(e) for e in row) for row in data["matrix"]
-            )
-            return cls("found", matrix, int(data["det"]),
-                       bound if bound is not None else 0, None)
-        if data["result"] == "none_within_bound":
-            return cls(
-                "none_within_bound", None, None, int(data["bound"]),
-                data["reason"],
-            )
-        raise ValueError(f"unknown verdict result {data['result']!r}")
-
 
 # -- verification ----------------------------------------------------------
 

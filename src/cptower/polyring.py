@@ -43,7 +43,11 @@ def _parse_int(value, what: str) -> int:
     if isinstance(value, int):
         return value
     if isinstance(value, str) and _DECIMAL_RE.match(value):
-        return int(value)
+        try:
+            return int(value)
+        except ValueError:  # longer than the interpreter's digit limit
+            raise PolyJSONError(f"{what} has {len(value)} characters, too "
+                                "long a decimal to read") from None
     raise PolyJSONError(f"{what} must be an integer or decimal string, got {value!r}")
 
 

@@ -116,16 +116,19 @@ def _check_tower_size(g: int, terms: int) -> None:
 
 class TowerSpec(namedtuple("TowerSpec", "stages")):
     """A tower's stages, checked on every path (``_make``, ``_replace``,
-    unpickling too); as a namedtuple it also equals ``(stages,)``."""
+    unpickling too); as a namedtuple it also equals ``(stages,)``.  Any
+    iterable of stages is taken, each checked as it is taken (so a generator
+    parses stage k + 1 only after stage k passed), and stored as a tuple."""
 
     __slots__ = ()
 
     def __new__(cls, stages):
-        terms = 0
+        checked, terms = [], 0
         for idx, stage in enumerate(stages, start=1):
             terms += _check_stage(idx, stage)
-        _check_tower_size(len(stages), terms)
-        return super().__new__(cls, stages)
+            checked.append(stage)
+        _check_tower_size(len(checked), terms)
+        return super().__new__(cls, tuple(checked))
 
     # namedtuple's _make, which _replace calls, would skip the checks
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -528,34 +531,36 @@ def towerspec_from_json(data) -> TowerSpec:
         and isinstance(raw.get("chern"), list)
         for entry in raw["chern"] if isinstance(entry, list)
     ))
-    stages: list[Stage] = []
-    for idx, raw in enumerate(stages_raw, start=1):
-        if not isinstance(raw, dict):
-            raise TowerSpecError(f"stage {idx} must be an object")
-        unknown = set(raw) - {"fiber_dim", "chern"}
-        if unknown:
-            raise TowerSpecError(f"stage {idx}: unknown keys {sorted(unknown)}")
-        if "fiber_dim" not in raw:
-            raise TowerSpecError(f"stage {idx}: missing fiber_dim")
+    return TowerSpec(
+        _parse_stage(idx, raw) for idx, raw in enumerate(stages_raw, start=1)
+    )
+
+
+def _parse_stage(idx: int, raw) -> Stage:
+    """Stage ``idx`` of a tower file, parsed but not yet checked."""
+    if not isinstance(raw, dict):
+        raise TowerSpecError(f"stage {idx} must be an object")
+    unknown = set(raw) - {"fiber_dim", "chern"}
+    if unknown:
+        raise TowerSpecError(f"stage {idx}: unknown keys {sorted(unknown)}")
+    if "fiber_dim" not in raw:
+        raise TowerSpecError(f"stage {idx}: missing fiber_dim")
+    try:
+        n = _parse_int(raw["fiber_dim"], "fiber_dim")
+    except ValueError:
+        raise TowerSpecError(f"stage {idx}: fiber_dim must be an integer")
+    chern_raw = raw.get("chern", [])
+    if not isinstance(chern_raw, list):
+        raise TowerSpecError(f"stage {idx}: chern must be a list")
+    base_gens = idx - 1
+    chern: list[Poly] = []
+    for i, entry in enumerate(chern_raw, start=1):
         try:
-            n = _parse_int(raw["fiber_dim"], "fiber_dim")
-        except ValueError:
-            raise TowerSpecError(f"stage {idx}: fiber_dim must be an integer")
-        chern_raw = raw.get("chern", [])
-        if not isinstance(chern_raw, list):
-            raise TowerSpecError(f"stage {idx}: chern must be a list")
-        base_gens = idx - 1
-        chern: list[Poly] = []
-        for i, entry in enumerate(chern_raw, start=1):
-            try:
-                fitted = _fit_terms(entry, base_gens, idx)
-                chern.append(Poly.from_json(base_gens, fitted))
-            except PolyJSONError as exc:
-                raise TowerSpecError(f"stage {idx} chern entry {i}: {exc}")
-        stage = Stage(fiber_dim=n, chern=tuple(chern))
-        _check_stage(idx, stage)  # before any later stage is read
-        stages.append(stage)
-    return TowerSpec(stages=tuple(stages))
+            fitted = _fit_terms(entry, base_gens, idx)
+            chern.append(Poly.from_json(base_gens, fitted))
+        except PolyJSONError as exc:
+            raise TowerSpecError(f"stage {idx} chern entry {i}: {exc}")
+    return Stage(fiber_dim=n, chern=tuple(chern))
 
 
 def _fit_terms(entry, base_gens: int, idx: int):

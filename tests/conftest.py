@@ -67,4 +67,18 @@ TAMPERED_CACHE_ENTRIES = [
     ("Eta2:1,2", "Eta2:1,-2", 2, {"reason": "betti_mismatch"}),  # equal series
     ("Eta2:0,0", "M8:0,0", 2, {"reason": "exhausted"}),  # series differ
     ("Eta2:1,2", "Eta2:1,-2", 2, {"reason": None}),  # a negative without one
+    # an entry is trusted only as the exact text a search writes, so what
+    # int() would read as the written number is recomputed too; GB2:1/GB2:2
+    # at bound 1 writes [["-1", "1"], ["0", "1"]] with det "-1"
+    ("GB2:1", "GB2:2", 1, {"det": float("inf")}),  # JSON Infinity
+    ("GB2:1", "GB2:2", 1, {"matrix": [[float("inf"), "1"], ["0", "1"]]}),
+    ("GB2:1", "GB2:2", 1, {"matrix": [[-1.0, 1.0], [0.0, 1.0]]}),
+    ("H0", "H0", 1, {"det": True}),  # the certificate's det is 1
+    ("GB2:1", "GB2:2", 1, {"matrix": [["-1", "+1"], ["0", "1"]]}),
+    ("GB2:1", "GB2:2", 1, {"matrix": [["-1", "01"], ["0", "1"]]}),
+    ("GB2:1", "GB2:2", 1, {"note": "checked by hand"}),  # an extra key
+    # a 3 x 3 matrix for a pair of 2-generator rings
+    ("GB2:1", "GB2:2", 1, {"matrix": [["-1", "1", "0"], ["0", "1", "0"],
+                                      ["0", "0", "1"]]}),
+    ("Eta2:1,2", "Eta2:1,-2", 2, {"bound": 2}),  # a JSON number
 ]

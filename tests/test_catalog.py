@@ -32,7 +32,9 @@ from cptower.catalog import (
     cp_spec,
 )
 from cptower.cli import resolve_ring_arg
-from cptower.towers import MAX_FIBER_DIM, RingPresentation, towerspec_to_json
+from cptower.towers import (
+    MAX_FIBER_DIM, RingPresentation, matrix_det, towerspec_to_json,
+)
 from conftest import (
     TAMPERED_CACHE_ENTRIES, cache_entry_path, fam, pres, tampered,
 )
@@ -694,6 +696,31 @@ def test_cached_search_recomputes_tampered_fields(
     again = _cached_search(pres_a, pres_b, bound, str(tmp_path))
     assert again.to_json() == fresh
     assert json.loads(cache_file.read_text()) == fresh  # overwritten
+
+
+def test_a_forged_large_matrix_is_recomputed_before_any_determinant(
+    tmp_path, monkeypatch
+):
+    # a 300 x 300 identity for a 2-generator pair: its shape is refused
+    # before catalog.matrix_det could spend Bareiss elimination on it
+    a, b = pres("GB2:1"), pres("GB2:2")
+    fresh = search(a, b, 1)
+    cache_file = cache_entry_path(tmp_path, "GB2:1", "GB2:2", 1)
+    cache_file.write_text(json.dumps({
+        "result": "found",
+        "matrix": [[str(int(i == j)) for j in range(300)] for i in range(300)],
+        "det": "1",
+    }))
+    seen = []
+
+    def spying_det(rows):
+        seen.append(rows)
+        return matrix_det(rows)
+
+    monkeypatch.setattr(catalog, "matrix_det", spying_det)
+    assert _cached_search(a, b, 1, str(tmp_path)) == fresh
+    assert seen == []
+    assert cache_file.read_text() == json.dumps(fresh.to_json())  # overwritten
 
 
 def test_cached_search_keeps_honest_entries(tmp_path):

@@ -18,6 +18,7 @@ from cptower import (
     whitney_sum_of_lines,
 )
 from cptower import chern
+from cptower.catalog import _over
 from cptower.towers import MAX_FIBER_DIM
 from conftest import cp, cp_spec, hirzebruch
 from oracles import splitting_oracle_tensor
@@ -320,6 +321,18 @@ def test_projectivize_builds_the_expected_stage():
     assert spec.ngens == 2
     pres = presentation(spec)
     assert pres.relations[1] == Poly(2, {(0, 2): 1, (2, 0): 2})
+
+
+def test_projectivize_extends_a_spec_built_from_a_list():
+    # TowerSpec stores any iterable of stages as a tuple, so a spec built
+    # from a list hashes and extends like one built from a tuple
+    s = Stage(2, (Poly.zero(0),) * 3)
+    spec = TowerSpec([s])
+    assert spec == TowerSpec((s,)) == TowerSpec(iter([s]))
+    assert type(spec.stages) is tuple and hash(spec) == hash(TowerSpec((s,)))
+    xi = rank2(presentation(spec), Poly.zero(1), x_poly(2, 2))
+    assert projectivize(spec, xi).ngens == 2
+    assert _over(spec, 1, Poly.zero(1), Poly.zero(1)).ngens == 2
 
 
 def test_projectivize_validation():
