@@ -29,6 +29,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import re
 import sys
 from collections import namedtuple
 from functools import lru_cache
@@ -46,6 +47,10 @@ from .towers import (
 )
 
 THEOREMS = ("main", "two-stage", "three-stage", "eight-dim")
+
+# a family id's parameters: comma-separated decimals of the tower-file rule
+# (ASCII digits, an optional minus, nothing else), matched in one pass
+_PARAMS_RE = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*\Z")
 
 
 class FamilyId(namedtuple("FamilyId", "tag params")):
@@ -75,6 +80,9 @@ class FamilyId(namedtuple("FamilyId", "tag params")):
         if not sep:
             return cls(tag, ())
         try:
+            if not _PARAMS_RE.match(rest):
+                raise ValueError
+            # int() still refuses a decimal past the interpreter's digit limit
             params = tuple(map(int, rest.split(",")))
         except ValueError:
             raise ValueError(f"malformed family id {text!r}") from None

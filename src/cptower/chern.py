@@ -1,19 +1,21 @@
 """Chern-class arithmetic for the bundles that feed tower stages.
 
 Everything here manipulates Chern classes as reduced polynomials over a base
-presentation: Whitney sums of line bundles, twisting a rank-2 bundle by a
-line bundle, the mod-2 normalization of c_1, and the hyperplane-complement
-construction behind the Milnor hypersurfaces.  The tests check the twist
-formulas against an independent splitting-principle expansion.
+presentation: Whitney sums of line bundles, twisting a bundle of any rank
+by a line bundle, the normalization of c_1 modulo the rank, and the
+hyperplane-complement construction behind the Milnor hypersurfaces.  The
+tests check the twist formula against independent splitting-principle
+expansions.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
+from math import comb
 
 from . import towers
-from .polyring import Monomial, Poly
+from .polyring import Poly
 from .towers import RingPresentation, Stage, TowerSpec, presentation
 
 
@@ -95,25 +97,26 @@ def _c1_is_odd(c1: Poly) -> bool:
 
 
 def tensor_line(xi: BundleDescriptor, gamma_c1: Poly) -> BundleDescriptor:
-    """Twist a rank-2 bundle by the line bundle with first Chern class
-    ``gamma_c1``:
+    """Twist by the line bundle with first Chern class t = ``gamma_c1``.
 
-        c_1' = c_1 + 2 t,    c_2' = t^2 + t c_1 + c_2,   t = c_1(gamma).
+    Each Chern root moves by t, so for rank r
 
-    The projectivization is unchanged by the twist, so the alpha tag rides
+        c_q' = sum over i <= q of C(r - i, q - i) c_i t^(q - i),   c_0 = 1;
+
+    at rank 2 that is c_1' = c_1 + 2 t and c_2' = t^2 + t c_1 + c_2.  The
+    projectivization is unchanged by the twist, so the alpha tag rides
     along untouched.
     """
-    if xi.rank != 2:
-        raise BundleError("tensor_line expects a rank-2 bundle")
     t = xi.base.normal_form(gamma_c1)
     if not t.is_homogeneous(1):
         raise BundleError("line-bundle class must be homogeneous of degree 2")
-    c1, c2 = xi.chern
-    new_c1 = c1 + 2 * t
-    new_c2 = t * t + t * c1 + c2
-    return BundleDescriptor(
-        base=xi.base, rank=2, chern=(new_c1, new_c2), alpha=xi.alpha
-    )
+    r, g = xi.rank, xi.base.ngens
+    c = (Poly.constant(g, 1),) + xi.chern
+    return xi._replace(chern=tuple(
+        sum((comb(r - i, q - i) * c[i] * t ** (q - i) for i in range(q + 1)),
+            Poly.zero(g))
+        for q in range(1, r + 1)
+    ))
 
 
 def whitney_sum_of_lines(
@@ -150,28 +153,16 @@ def whitney_sum_of_lines(
 
 
 def normalize_c1(xi: BundleDescriptor) -> tuple[BundleDescriptor, Poly]:
-    """Twist so that every coordinate of c_1 lands in {0, 1}.
+    """Twist so that every coordinate of c_1 lands in [0, rank - 1].
 
-    Returns the twisted descriptor together with the line class used, so a
-    caller can report how c_2 moved.  Requires c_1 to be a linear form in
-    the generators (true for every bundle this package constructs).
+    A twist by t moves c_1 by rank * t, so t is -floor(s / rank) in each
+    coordinate s of c_1, a linear form since the descriptor holds it
+    homogeneous of weight 1.  Returns the twisted descriptor together with
+    the line class used, so a caller can report how the other classes moved.
     """
-    if xi.rank != 2:
-        raise BundleError("normalize_c1 expects a rank-2 bundle")
-    g = xi.base.ngens
-    coords = [0] * g
-    for mono, coeff in xi.c1.terms.items():
-        if sum(mono) != 1:
-            raise BundleError("c1 must be a linear form in the generators")
-        coords[mono.index(1)] = coeff
-    twist_terms: dict[Monomial, int] = {}
-    for idx, s in enumerate(coords):
-        t = -((s - (s % 2)) // 2)  # s + 2t lands in {0, 1}
-        if t:
-            exps = [0] * g
-            exps[idx] = 1
-            twist_terms[tuple(exps)] = t
-    twist = Poly(g, twist_terms)
+    twist = Poly(xi.base.ngens, {
+        mono: -(s // xi.rank) for mono, s in xi.c1.terms.items()
+    })
     return tensor_line(xi, twist), twist
 
 

@@ -207,9 +207,11 @@ def compose(m_ab: Matrix, m_bc: Matrix) -> Matrix:
 
     Columns are images, so the composite matrix is the ordinary product
     (B -> C) . (A -> B); entries may leave the search bound, which is fine
-    for verification.
+    for verification.  Both must be g x g integer matrices, g the row
+    count of ``m_ab``.
     """
     g = len(m_ab)
+    m_ab, m_bc = _check_matrix(g, m_ab), _check_matrix(g, m_bc)
     return tuple(
         tuple(
             sum(m_bc[i][j] * m_ab[j][k] for j in range(g)) for k in range(g)

@@ -64,6 +64,10 @@ def test_family_id_parse_strips_whitespace():
         ("Zeta3:1,2", r"^family Zeta3 takes 3 parameter\(s\), got 2$"),
         ("Eta2:1,x", "malformed family id 'Eta2:1,x'"),
         ("Eta2:1,,2", "malformed family id"),
+        ("GB2:1_0", "malformed family id 'GB2:1_0'"),
+        ("GB2:+1", "malformed family id"),
+        ("Eta2:1, 2", "malformed family id"),
+        ("GB2:\u0663", "malformed family id"),  # ARABIC-INDIC DIGIT THREE
     ],
 )
 def test_family_id_rejects(text, message):

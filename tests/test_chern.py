@@ -18,9 +18,9 @@ from cptower import (
     whitney_sum_of_lines,
 )
 from cptower import chern
-from cptower.catalog import _over
+from cptower.catalog import FamilyId, _over, stage_bundle
 from cptower.towers import MAX_FIBER_DIM
-from conftest import cp, cp_spec, hirzebruch
+from conftest import cp, cp_spec, hirzebruch, pres
 from oracles import splitting_oracle_tensor
 
 
@@ -113,10 +113,6 @@ def test_tensor_rides_alpha_along():
 
 def test_tensor_validation():
     xi = rank2(cp(2), x_poly(1), Poly.zero(1))
-    with pytest.raises(BundleError, match="rank-2"):
-        tensor_line(
-            BundleDescriptor(base=cp(2), rank=1, chern=(x_poly(1),)), x_poly(1)
-        )
     with pytest.raises(BundleError, match="homogeneous of degree 2"):
         tensor_line(xi, Poly(1, {(2,): 1}))
 
@@ -157,6 +153,27 @@ def test_tensor_matches_oracle_on_random_descriptors():
         tw = tensor_line(rank2(base, c1, c2), t)
         assert tw.chern[0] == base.normal_form(oc1.substitute((c1, c2, t)))
         assert tw.chern[1] == base.normal_form(oc2.substitute((c1, c2, t)))
+
+
+def random_line(rng, base):
+    return Poly(base.ngens, {
+        mono: rng.randint(-3, 3) for mono in base.graded_basis(2)
+    })
+
+
+@pytest.mark.parametrize("family", ["CP3", "Xi3:0,1,-2", "Zeta3:1,1,2"])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_tensor_moves_every_root_of_a_split_bundle(family, rank):
+    # a sum of lines twisted by t is the sum of the lines each moved by t:
+    # an oracle for every rank that needs no symbolic reduction
+    base = pres(family)
+    rng = random.Random(f"{family}/{rank}")
+    for _ in range(25):
+        lines = [random_line(rng, base) for _ in range(rank)]
+        t = random_line(rng, base)
+        assert tensor_line(whitney_sum_of_lines(base, lines), t) == (
+            whitney_sum_of_lines(base, [line + t for line in lines])
+        )
 
 
 # -- whitney_sum_of_lines ---------------------------------------------------
@@ -245,9 +262,34 @@ def test_normalize_coordinates_land_in_01():
             assert back.chern == rank2(h1, c1, Poly.zero(2)).chern
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_normalize_coordinates_land_below_the_rank(rank):
+    rng = random.Random(rank)
+    for base in (cp(3), hirzebruch(1), pres("Zeta3:1,1,2")):
+        for _ in range(20):
+            xi = whitney_sum_of_lines(
+                base, [random_line(rng, base) for _ in range(rank)]
+            )
+            norm, twist = normalize_c1(xi)
+            assert set(norm.c1.terms.values()) <= set(range(1, rank))
+            assert tensor_line(norm, -1 * twist) == xi
+
+
+def test_normalize_rank3_catalog_stage():
+    # GB2:4 = P(gamma^4 + eps + eps): c1 = 4x, and a twist by -x leaves x
+    norm, twist = normalize_c1(stage_bundle(FamilyId.parse("GB2:4")))
+    assert twist == x_poly(-1)
+    assert norm.rank == 3
+    assert norm.chern == (x_poly(1), Poly.zero(1), Poly.zero(1))
+
+
 def test_normalize_validation():
-    with pytest.raises(BundleError, match="rank-2"):
-        normalize_c1(BundleDescriptor(base=cp(1), rank=1, chern=(x_poly(2),)))
+    # a line bundle normalizes to the trivial one: c1 lands on 0
+    norm, twist = normalize_c1(
+        BundleDescriptor(base=cp(1), rank=1, chern=(x_poly(2),))
+    )
+    assert twist == x_poly(-2)
+    assert norm.c1.is_zero()
 
 
 # -- milnor hypersurfaces ---------------------------------------------------

@@ -1003,6 +1003,16 @@ def test_compose_certificates():
     assert verify(a, c, m_ac)
 
 
+@pytest.mark.parametrize("m_ab, m_bc", [
+    (((1, 0), (0, 1)), ((1, 2, 3), (4, 5, 6), (7, 8, 9))),
+    (((1, 2, 3), (4, 5, 6), (7, 8, 9)), ((1, 0), (0, 1))),
+    (((1, 0), (0, 1)), ((1, 0), (0,))),
+])
+def test_compose_refuses_mismatched_shapes(m_ab, m_bc):
+    with pytest.raises(IsoShapeError, match="expected a [23]x[23] matrix"):
+        compose(m_ab, m_bc)
+
+
 def test_compose_is_matrix_product_in_application_order():
     # compose(f, g) applies f then g
     f = ((1, 1), (0, 1))
