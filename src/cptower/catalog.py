@@ -11,7 +11,8 @@ the sweep reports and the fixtures:
   Xi3:s,r,b    the same bundle shape over H_1
   M8:alpha,u   P(rank-2 bundle with c = (0, u*x^2)) over CP^3; alpha is the
                Z_2 bundle tag and never shows up in the ring presentation
-  N8:u         P(rank-2 bundle with c = (x, u*x^2)) over CP^3
+  N8:u         P(rank-2 bundle with c = (x, u*x^2)) over CP^3; a tower
+               only for even u (chi(CP^3, E) = 5 - 5u/2), a ring for odd u
 
 Each family is one ``_FAMILIES`` entry: a builder that adds the family's
 last stage to a base tower, whose parameter count is the family's arity.
@@ -409,29 +410,26 @@ def _entry_text(verdict: SearchVerdict) -> str:
 
 def _trusted_entry(text: str, pres_a: RingPresentation,
                    pres_b: RingPresentation, bound: int) -> SearchVerdict:
-    """The verdict a cache entry claims, re-derived; raise ValueError
-    unless the entry is byte for byte its :func:`_entry_text`.
+    """The verdict a cache entry claims, re-derived in one pass; raise
+    ValueError unless the entry is byte for byte its :func:`_entry_text`.
 
-    A bounded exhaustion at ``bound`` has one text; that the box was truly
-    exhausted is not re-checked, as only a new search could.  A certificate
-    is re-derived from its matrix alone: g x g before any determinant is
-    computed, every entry within ``bound``, the determinant computed here,
-    and :func:`verify` must accept it.
+    ``found`` is re-derived from the matrix alone: its entries read as ints
+    within ``bound``, :func:`verify` accepting it (g x g is checked before
+    any determinant), and the determinant computed here.  Anything else
+    can only be the bounded exhaustion at ``bound``, which only a new
+    search could re-check.
     """
-    exhausted = SearchVerdict(
-        "none_within_bound", None, None, bound, "exhausted"
-    )
-    if text == _entry_text(exhausted):
-        return exhausted
-    rows = json.loads(text)["matrix"]
-    g = pres_a.ngens
-    if len(rows) != g or any(len(row) != g for row in rows):
-        raise ValueError("cached matrix is not g x g")
-    matrix = tuple(tuple(map(int, row)) for row in rows)
-    if any(abs(e) > bound for row in matrix for e in row):
-        raise ValueError("cached certificate exceeds the bound")
-    verdict = SearchVerdict("found", matrix, matrix_det(matrix), bound, None)
-    if _entry_text(verdict) != text or not verify(pres_a, pres_b, matrix):
+    entry = json.loads(text)
+    if entry["result"] == "found":
+        mat = tuple(tuple(int(e) for e in row) for row in entry["matrix"])
+        within = all(abs(e) <= bound for row in mat for e in row)
+        if not (within and verify(pres_a, pres_b, mat)):
+            raise ValueError("cached certificate is not one a search finds")
+        verdict = SearchVerdict("found", mat, matrix_det(mat), bound, None)
+    else:
+        verdict = SearchVerdict(
+            "none_within_bound", None, None, bound, "exhausted")
+    if _entry_text(verdict) != text:
         raise ValueError("cached entry is not one a search writes")
     return verdict
 
@@ -465,13 +463,12 @@ def _cached_search(
     A pair whose Poincare series differ is decided before any file is
     opened: its ``betti_mismatch`` verdict is returned with no cache read
     or write, so the cache holds no such verdict.  An entry is read in one
-    binary read and decoded as strict UTF-8, so a byte-order mark or an
-    invalid byte makes it unreadable.  An entry is trusted only when it is
-    byte for byte the text that re-deriving its claim writes (see
-    :func:`_trusted_entry`); any other entry, or one that cannot be read,
-    is recomputed and overwritten.
-    A failed cache write costs only a warning on stderr, once per directory
-    and process: the computed verdict is still returned.
+    binary read, decoded as strict UTF-8 (a byte-order mark or an invalid
+    byte makes it unreadable) and re-derived in one pass by
+    :func:`_trusted_entry`; one that is not byte for byte its re-derived
+    verdict, or cannot be read, is recomputed and overwritten.  A failed
+    cache write costs only a warning on stderr, once per directory and
+    process: the computed verdict is still returned.
     """
     if cache_dir is None or not admit(pres_a, pres_b, bound):
         return search(pres_a, pres_b, bound)

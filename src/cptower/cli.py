@@ -49,7 +49,7 @@ from .catalog import (
     sweep_distinctness,
 )
 from .isosearch import search_all
-from .polyring import Poly
+from .polyring import Poly, _parse_int
 from .towers import (
     RingPresentation,
     TowerSpec,
@@ -85,7 +85,8 @@ def resolve_ring_arg(text: str) -> TowerSpec:
     m = _BASE_ID.fullmatch(text)
     if m:
         n, k = m.groups()
-        return cp_spec(int(n)) if n is not None else hirzebruch_spec(int(k))
+        value = _parse_int(n or k, "CPn's n" if n else "Hk's k")
+        return cp_spec(value) if n else hirzebruch_spec(value)
     try:
         fid = FamilyId.parse(text)
     except ValueError:

@@ -132,12 +132,16 @@ class SearchVerdict(namedtuple("SearchVerdict", "result matrix det bound reason"
 
 
 def _check_matrix(g: int, rows) -> Matrix:
+    """The one certificate rule: g rows of g entries (checked first), each
+    exactly an ``int``, so a float, bool or decimal string is refused."""
     try:
-        mat = tuple(tuple(int(e) for e in row) for row in rows)
-    except (TypeError, ValueError):
-        raise IsoShapeError("matrix entries must be integers")
+        mat = tuple(tuple(row) for row in rows)
+    except TypeError:
+        raise IsoShapeError(f"expected a {g}x{g} matrix") from None
     if len(mat) != g or any(len(row) != g for row in mat):
         raise IsoShapeError(f"expected a {g}x{g} matrix")
+    if any(type(e) is not int for row in mat for e in row):
+        raise IsoShapeError("matrix entries must be integers")
     return mat
 
 
@@ -159,16 +163,14 @@ def images_from_matrix(pres_b: RingPresentation, rows: Matrix) -> list[Poly]:
 def verify(pres_a: RingPresentation, pres_b: RingPresentation, rows) -> bool:
     """Check a certificate the slow, direct way (substitute and reduce).
 
-    Raises :class:`IsoShapeError` for a wrongly shaped matrix, and for
-    mismatched generator counts, where no g x g matrix fits both rings;
+    Raises :class:`IsoShapeError` for mismatched generator counts, and for
+    anything but a g x g matrix of ``int`` entries (:func:`_check_matrix`);
     returns False for a Poincare mismatch, which is a legitimate
     "trivially non-isomorphic" signal rather than a bug.
     """
     g = pres_a.ngens
     if pres_b.ngens != g:
-        raise IsoShapeError(
-            f"generator counts differ: {g} vs {pres_b.ngens}"
-        )
+        raise IsoShapeError(f"generator counts differ: {g} vs {pres_b.ngens}")
     mat = _check_matrix(g, rows)
     if pres_a.poincare() != pres_b.poincare():
         return False

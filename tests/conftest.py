@@ -81,4 +81,6 @@ TAMPERED_CACHE_ENTRIES = [
     ("GB2:1", "GB2:2", 1, {"matrix": [["-1", "1", "0"], ["0", "1", "0"],
                                       ["0", "0", "1"]]}),
     ("Eta2:1,2", "Eta2:1,-2", 2, {"bound": 2}),  # a JSON number
+    ("GB2:1", "GB2:2", 1, {"matrix": [[-1, 1], [0, 1]]}),  # JSON numbers
+    ("GB2:1", "GB2:2", 1, {"matrix": None}),  # a certificate with no matrix
 ]

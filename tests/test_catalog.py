@@ -727,6 +727,30 @@ def test_a_forged_large_matrix_is_recomputed_before_any_determinant(
     assert cache_file.read_text() == json.dumps(fresh.to_json())  # overwritten
 
 
+@pytest.mark.parametrize("a, b, verifies", [
+    ("GB2:1", "GB2:2", 1),  # a certificate
+    ("Eta2:0,2", "Eta2:0,-2", 0),  # an exhausted box
+])
+def test_a_cache_hit_is_re_derived_in_one_pass(
+    tmp_path, monkeypatch, a, b, verifies
+):
+    # a hit serializes once, verifies only a certificate and never searches
+    first = _cached_search(pres(a), pres(b), 2, str(tmp_path))
+    calls = Counter()
+
+    def spy(name, real):
+        def spying(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(catalog, name, spying)
+
+    spy("_entry_text", catalog._entry_text)
+    spy("verify", catalog.verify)
+    spy("search", catalog.search)
+    assert _cached_search(pres(a), pres(b), 2, str(tmp_path)) == first
+    assert calls == Counter(_entry_text=1, verify=verifies)
+
+
 def test_cached_search_keeps_honest_entries(tmp_path):
     for i, (a, b) in enumerate([("GB2:1", "GB2:2"), ("Eta2:1,2", "Eta2:1,-2")]):
         cache_dir = tmp_path / str(i)

@@ -290,6 +290,21 @@ def test_resolve_ring_arg_spellings():
     assert resolve_ring_arg("Zeta3:1,0,2").ngens == 3
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter sets no digit limit",
+)
+@pytest.mark.parametrize("prefix, field", [("CP", "CPn's n"), ("H", "Hk's k")])
+def test_an_over_long_base_id_names_its_field(capsys, prefix, field):
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    code, out, err = run_cli(capsys, "ring", prefix + digits)
+    assert (code, out) == (2, "")
+    assert err.strip() == (
+        f"error: {field} has {len(digits)} characters, too long a decimal "
+        "to read"
+    )
+
+
 def test_ids_come_before_files_of_the_same_name(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     # a junk file named like a catalog id does not shadow the id

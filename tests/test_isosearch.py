@@ -105,6 +105,25 @@ def test_verify_shape_errors_and_poincare():
     assert not verify(cp(1), cp(2), ((1,),))
 
 
+@pytest.mark.parametrize("bad", [
+    ((1.5, 0), (0, 1)),
+    ((True, 0), (0, 1)),
+    ((-1.0, 0), (0, 1)),
+    (("1", 0), (0, 1)),
+    ((1.5, 0), (0, True)),  # int() would read it as the identity
+])
+def test_certificate_entries_must_be_ints(bad):
+    # a float, a bool or a decimal string is refused, never read as an int
+    h0, one = hirzebruch(0), ((1, 0), (0, 1))
+    with pytest.raises(IsoShapeError, match="entries must be integers"):
+        verify(h0, h0, bad)
+    with pytest.raises(IsoShapeError, match="entries must be integers"):
+        invert_unimodular(bad)
+    for pair in ((bad, one), (one, bad)):
+        with pytest.raises(IsoShapeError, match="entries must be integers"):
+            compose(*pair)
+
+
 def test_images_from_matrix():
     h0 = hirzebruch(0)
     images = images_from_matrix(h0, ((0, 1), (1, 0)))
