@@ -30,14 +30,14 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import re
 import sys
 from collections import namedtuple
 from functools import lru_cache
+from itertools import repeat
 
 from . import __version__
 from .isosearch import SearchVerdict, admit, search, verify
-from .polyring import Poly
+from .polyring import Poly, PolyJSONError, _parse_int
 from .towers import (
     MAX_FIBER_DIM,
     RingPresentation,
@@ -49,13 +49,9 @@ from .towers import (
 
 THEOREMS = ("main", "two-stage", "three-stage", "eight-dim")
 
-# a family id's parameters: comma-separated decimals of the tower-file rule
-# (ASCII digits, an optional minus, nothing else), matched in one pass
-_PARAMS_RE = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*\Z")
-
-
 class FamilyId(namedtuple("FamilyId", "tag params")):
     """A catalog family: a tag of ``_FAMILIES`` and its integer parameters,
+    each an int or a decimal of the tower-file rule (``_parse_int``),
     checked on every path (``_make``, ``_replace``, unpickling too).  As a
     namedtuple it also equals the plain tuple ``(tag, params)``."""
 
@@ -64,12 +60,14 @@ class FamilyId(namedtuple("FamilyId", "tag params")):
     def __new__(cls, tag: str, params: tuple = ()):
         if tag not in _FAMILIES:
             raise ValueError(f"unknown family tag {tag!r}")
+        what = repeat(f"family {tag} parameter")
+        params = tuple(map(_parse_int, params, what))
         arity = _FAMILIES[tag].__code__.co_argcount
         if len(params) != arity:
             raise ValueError(
                 f"family {tag} takes {arity} parameter(s), got {len(params)}"
             )
-        return super().__new__(cls, tag, tuple(map(int, params)))
+        return super().__new__(cls, tag, params)
 
     # namedtuple's _make, which _replace calls, would skip the checks
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -78,16 +76,10 @@ class FamilyId(namedtuple("FamilyId", "tag params")):
     def parse(cls, text: str) -> "FamilyId":
         text = text.strip()
         tag, sep, rest = text.partition(":")
-        if not sep:
-            return cls(tag, ())
         try:
-            if not _PARAMS_RE.match(rest):
-                raise ValueError
-            # int() still refuses a decimal past the interpreter's digit limit
-            params = tuple(map(int, rest.split(",")))
-        except ValueError:
+            return cls(tag, rest.split(",") if sep else ())
+        except PolyJSONError:  # a parameter that is not a decimal
             raise ValueError(f"malformed family id {text!r}") from None
-        return cls(tag, params)
 
     def __str__(self) -> str:
         if not self.params:

@@ -372,6 +372,12 @@ def _cmd_catalog_list(args) -> int:
 # -- wiring ----------------------------------------------------------------
 
 
+def integer(text: str) -> int:
+    """Every integer option's type: a decimal of the family-id rule, where
+    ``int`` would also take spaces, underscores and other scripts' digits."""
+    return _parse_int(text, "option")
+
+
 @lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     """The ``cpt`` parser, built once per process on first use.
@@ -402,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--poincare", action="store_true", help="also print graded ranks"
     )
     ring.add_argument(
-        "--basis", type=int, metavar="DEGREE",
+        "--basis", type=integer, metavar="DEGREE",
         help="also print the reduced monomial basis in this degree",
     )
     ring.add_argument("--json", action="store_true", help="emit JSON")
@@ -414,7 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
     iso.add_argument("a", help="source tower (catalog id, CPn / Hk, path)")
     iso.add_argument("b", help="target tower")
     iso.add_argument(
-        "--bound", type=int, default=3,
+        "--bound", type=integer, default=3,
         help="matrix entry bound (default 3)",
     )
     iso.add_argument(
@@ -428,10 +434,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--theorem", choices=THEOREMS, required=True)
     sweep.add_argument(
-        "--range", type=int, default=4,
+        "--range", type=integer, default=4,
         help="family parameters run over [-N, N] (default 4)",
     )
-    sweep.add_argument("--bound", type=int, default=3)
+    sweep.add_argument("--bound", type=integer, default=3)
     sweep.add_argument("--out", help="write the JSON report here")
     sweep.set_defaults(func=_cmd_sweep)
 
@@ -445,7 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tensor.add_argument("--c1", required=True)
     tensor.add_argument("--c2", required=True)
     tensor.add_argument("--by", required=True, help="c1 of the line bundle")
-    tensor.add_argument("--alpha", type=int, choices=(0, 1))
+    tensor.add_argument("--alpha", type=integer, choices=(0, 1))
     tensor.set_defaults(func=_cmd_chern_tensor)
 
     sum_parser = csub.add_parser(
@@ -463,8 +469,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="tower description of the bidegree-(1,1) hypersurface "
         "in CPi x CPj",
     )
-    milnor.add_argument("i", type=int)
-    milnor.add_argument("j", type=int)
+    milnor.add_argument("i", type=integer)
+    milnor.add_argument("j", type=integer)
     milnor.set_defaults(func=_cmd_chern_milnor)
 
     normalize = csub.add_parser(
@@ -473,14 +479,14 @@ def _build_parser() -> argparse.ArgumentParser:
     normalize.add_argument("--base", required=True)
     normalize.add_argument("--c1", required=True)
     normalize.add_argument("--c2", required=True)
-    normalize.add_argument("--alpha", type=int, choices=(0, 1))
+    normalize.add_argument("--alpha", type=integer, choices=(0, 1))
     normalize.set_defaults(func=_cmd_chern_normalize)
 
     cat = sub.add_parser(
         "catalog-list", help="print the family ids a sweep would cover"
     )
     cat.add_argument("--theorem", choices=THEOREMS, default="main")
-    cat.add_argument("--range", type=int, default=4)
+    cat.add_argument("--range", type=integer, default=4)
     cat.add_argument("--json", action="store_true")
     cat.set_defaults(func=_cmd_catalog_list)
 

@@ -43,9 +43,11 @@ depends on:
     mentions only x_0..x_d and is checked at depth d.
     Equal Poincare series, which a search needs, give equal caps, so no
     source exponent passes max(caps) + 1 and the tables depend on the
-    target and the bound alone.  Per source, each relation is split by the
-    powers of its last generator once (``_relation_splits``), and kept for
-    as long as the source presentation lives;
+    target and the bound alone.  Per source, one walk plan
+    (``_relation_splits``) splits each relation by the powers of its last
+    generator, keeps only non-zero exponents and takes its ranks from the
+    source's Poincare series; it lives as long as the source presentation,
+    and the target makes each fold the plan names on first use;
 (b) per prefix node: relation d, written sum_e x_d^e * P_e(x_0..x_(d-1)),
     has its prefix parts P_e evaluated once, to values q_e (products of
     prefix powers, by ``fold``).  By ``fold`` again they fold into one
@@ -300,31 +302,38 @@ def _lincomb(n: int, terms) -> Iterator[int]:
 
 def _split_relation(rel: Poly, depth: int) -> list:
     """The parts of a homogeneous relation in x_0..x_depth: every exponent
-    e of x_depth, ascending, paired with the terms (coeff, exponents of the
-    earlier generators) that multiply its e-th power."""
+    e of x_depth, ascending, paired with the terms that multiply its e-th
+    power, each (coeff, ((i, x), ...)) over the earlier generators x_i
+    whose exponent x is non-zero."""
     parts: dict[int, list] = {}
     for mono, coeff in rel.sorted_terms(reverse=True):
-        parts.setdefault(mono[depth], []).append((coeff, mono[:depth]))
+        pairs = tuple(filter(itemgetter(1), enumerate(mono[:depth])))
+        parts.setdefault(mono[depth], []).append((coeff, pairs))
     return sorted(parts.items())
 
 
-# (weight, parts) of every relation, per source presentation; an entry dies
-# with its presentation, so nothing here outlives the presentations in use.
+# the walk plan of every source presentation; an entry dies with its
+# presentation, so nothing here outlives the presentations in use.
 _splits: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _relation_splits(pres: RingPresentation) -> list:
-    """(weight, parts) of relation k for each k: homogeneous relation k
-    leads with x_k^w, so it mentions only x_0..x_k and is checkable at
-    depth k.  Split once per presentation (equal presentations share
-    one)."""
-    splits = _splits.get(pres)
-    if splits is None:
-        splits = _splits[pres] = [
-            (w, _split_relation(rel, k))
-            for k, (w, rel) in enumerate(zip(pres.weights, pres.relations))
-        ]
-    return splits
+    """The walk plan of a source: per depth k, (n, parts) for relation k,
+    which leads with x_k^w, so it mentions only x_0..x_k.  n is the rank
+    of weight w, from the source's Poincare series and rank 0 one weight
+    past the top (no parts then: the image is zero anyway); a search needs
+    equal series, so these are the target's ``dims``.  Each part of x_k^e
+    is its terms (:func:`_split_relation`) and its fold (w - e, e), None
+    for e = 0.  Made once per presentation (equal ones share it)."""
+    plan = _splits.get(pres)
+    if plan is None:
+        dims = (*pres.poincare(), 0)
+        plan = _splits[pres] = []
+        for k, (w, rel) in enumerate(zip(pres.weights, pres.relations)):
+            parts = _split_relation(rel, k) if dims[w] else ()
+            plan.append((dims[w], [(terms, (w - e, e) if e else None)
+                                   for e, terms in parts]))
+    return plan
 
 
 def _wedge(w: dict, col) -> dict:
@@ -596,7 +605,7 @@ class _BoxPowers:
         n, *parts = key
         mat = [[0] * len(self.peaks) for _ in range(n)]
         for part, q in parts:
-            for qm, row in zip(q, self._folds[part]):
+            for qm, row in zip(q, self.fold(*part)):
                 if qm:
                     for j, p, c in row:
                         mat[j][p] += qm * c
@@ -658,7 +667,9 @@ class _ColumnWalk:
     (``node_rows``), so a node whose A is indexed already costs one hash of
     that key in the target's store; A itself is built only for a key the
     store misses (``_BoxPowers.index``).  The candidates passing are one
-    lookup (``_survivors``), ascending, so the contract order holds.
+    lookup (``_survivors``), ascending, so the contract order holds.  The
+    walk reads the source's plan (``_relation_splits``), made once per
+    source presentation, and the target makes each fold on first use.
 
     ``walk`` carries the wedge of the placed columns (``_wedge``), from
     ``{0: 1}``: a survivor that empties it is dependent and is skipped.
@@ -673,19 +684,7 @@ class _ColumnWalk:
         self.tables = tables
         # relation d by content, sorted terms (hashed in C): a node key
         self.relation_keys = pres_a.identity[1]
-        dims = tables.dims
-        # per depth: the rank n of the relation's weight and, per part, the
-        # rank of the prefix part's weight and the fold (a, e) of x_depth^e
-        # (None for e = 0; no parts past the top weight, where the image is
-        # zero anyway).  The folds are made here for the index builds.
-        self.relations = []
-        for w, parts in _relation_splits(pres_a):
-            keyed = []
-            for e, terms in parts if dims[w] else ():
-                if e:
-                    tables.fold(w - e, e)
-                keyed.append((dims[w - e], terms, (w - e, e) if e else None))
-            self.relations.append((dims[w], keyed))
+        self.plan = _relation_splits(pres_a)
 
     def node_rows(self, depth: int, cols: list) -> tuple:
         """Relation ``depth`` at the prefix columns ``cols`` (box indices),
@@ -694,28 +693,28 @@ class _ColumnWalk:
         1, that is non-zero (see ``_BoxPowers``), and the image each of the
         n rows of A must have."""
         t = self.tables
-        n, parts = self.relations[depth]
-        rows, offset = t.rows, t.offset
+        rows, offset, dims, fold = t.rows, t.offset, t.dims, t.fold
+        n, parts = self.plan[depth]
         key, target = [n], (0,) * n
-        for size, terms, part in parts:
-            q = [0] * size  # the prefix part, evaluated
-            for coeff, exps in terms:
+        for terms, part in parts:
+            q = None  # the prefix part, evaluated term by term
+            for coeff, pairs in terms:
                 v, a = (1,), 0
-                for i, x in enumerate(exps):
-                    if x:
-                        row = rows[cols[i]]
-                        if a:  # v * L^x, by the product table
-                            prod = [0] * t.dims[a + x]
-                            for vm, triples in zip(v, t.fold(a, x)):
-                                if vm:
-                                    for j, p, c in triples:
-                                        prod[j] += vm * c * row[p]
-                            v = prod
-                        else:
-                            v = row[offset[x]:offset[x + 1]]  # L^x
-                        a += x
-                for m, vm in enumerate(v):
-                    q[m] += coeff * vm
+                for i, x in pairs:
+                    row = rows[cols[i]]
+                    if a:  # v * L^x, by the product table
+                        prod = [0] * dims[a + x]
+                        for vm, triples in zip(v, fold(a, x)):
+                            if vm:
+                                for j, p, c in triples:
+                                    prod[j] += vm * c * row[p]
+                        v = prod
+                    else:
+                        v = row[offset[x]:offset[x + 1]]  # L^x
+                    a += x
+                if coeff != 1:
+                    v = [coeff * vm for vm in v]
+                q = v if q is None else list(map(add, q, v))
             if part is None:  # x_depth^0: the constant part
                 target = tuple(map(neg, q))
             elif any(q):

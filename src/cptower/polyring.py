@@ -37,17 +37,18 @@ class PolyJSONError(ValueError):
 
 def _parse_int(value, what: str) -> int:
     """Accept an int or a decimal string (the JSON interfaces emit strings
-    so 64-bit-challenged consumers never truncate)."""
-    if isinstance(value, bool):
-        raise PolyJSONError(f"{what} must be an integer, got a boolean")
-    if isinstance(value, int):
-        return value
+    so 64-bit-challenged consumers never truncate).  Strings, what command
+    lines and documents hold, are tested first."""
     if isinstance(value, str) and _DECIMAL_RE.match(value):
         try:
             return int(value)
         except ValueError:  # longer than the interpreter's digit limit
             raise PolyJSONError(f"{what} has {len(value)} characters, too "
                                 "long a decimal to read") from None
+    if isinstance(value, bool):
+        raise PolyJSONError(f"{what} must be an integer, got a boolean")
+    if isinstance(value, int):
+        return value
     raise PolyJSONError(f"{what} must be an integer or decimal string, got {value!r}")
 
 

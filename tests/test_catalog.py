@@ -423,6 +423,53 @@ def test_sweep_derives_source_data_once_per_presentation(monkeypatch):
     assert len(ids) == 15 and built == per_id
 
 
+def test_three_stage_sweep_plans_each_source_once(monkeypatch):
+    # every three-stage source has three relations: a r2 b3 sweep splits
+    # each once per distinct source presentation, however many rows (173)
+    # search it
+    splits = []
+    split = isosearch._split_relation
+
+    def counting_split(rel, depth):
+        splits.append(depth)
+        return split(rel, depth)
+
+    monkeypatch.setattr(isosearch, "_split_relation", counting_split)
+    monkeypatch.setattr(isosearch, "_splits", weakref.WeakKeyDictionary())
+    report = sweep_distinctness("three-stage", 2, 3)
+    sources = {presentation_of(a) for a, *_ in _plan_rows("three-stage", 2)}
+    assert report["summary"]["failures"] == "0" and len(sources) == 18
+    assert sorted(splits) == sorted([0, 1, 2] * len(sources))
+
+
+@pytest.mark.parametrize("theorem, n, pairs", [
+    ("eight-dim", 2, 100), ("three-stage", 1, 121),
+])
+def test_walk_plan_ranks_are_the_target_dims(theorem, n, pairs):
+    # a source's plan takes its ranks from its own Poincare series, which
+    # every pair admit accepts shares with the target, so they are the
+    # target tables' dims; its terms keep only non-zero exponents, each
+    # of a generator below the relation's depth
+    sources = list(dict.fromkeys(
+        presentation_of(f) for f in families_for_theorem(theorem, n)
+    ))
+    admitted = 0
+    for pa in sources:
+        plan = isosearch._relation_splits(pa)
+        for pb in sources:
+            if not isosearch.admit(pa, pb, 2):
+                continue
+            admitted += 1
+            dims = isosearch._BoxPowers(pb, 2).dims
+            assert [rank for rank, _ in plan] == [dims[w] for w in pa.weights]
+        for k, (w, (_, parts)) in enumerate(zip(pa.weights, plan)):
+            for terms, fold in parts:
+                assert fold is None or sum(fold) == w and fold[1] > 0
+                assert all(0 <= i < k and x > 0
+                           for _, exps in terms for i, x in exps)
+    assert admitted == pairs
+
+
 @pytest.mark.parametrize("theorem, n, digest", [
     ("main", 2,
      "f82d1cffcff6c85789ebe0c693ca9f56e5685ad562ae808de67b15731868a120"),

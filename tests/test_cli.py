@@ -736,6 +736,29 @@ def test_catalog_list_rejects_a_negative_range(capsys):
     assert "range must be non-negative" in err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["iso", "GB2:1", "GB2:2", "--bound", "\u0662"], "--bound"),  # ARABIC-INDIC TWO
+    (["iso", "GB2:1", "GB2:2", "--bound", "0_1"], "--bound"),
+    (["sweep", "--theorem", "main", "--range", "+0"], "--range"),
+    (["sweep", "--theorem", "main", "--range", "0", "--bound", "1 "],
+     "--bound"),
+    (["catalog-list", "--range", " 1"], "--range"),
+    (["ring", "GB2:1", "--basis", "1_0"], "--basis"),
+    (["chern", "tensor", "--base", "CP2", "--c1", "x", "--c2", "0",
+      "--by", "x", "--alpha", "\uff10"], "--alpha"),  # FULLWIDTH ZERO
+    (["chern", "normalize", "--base", "CP2", "--c1", "x", "--c2", "0",
+      "--alpha", "0_0"], "--alpha"),
+    (["chern", "milnor", "1", "\u0662"], "j"),
+])
+def test_integer_options_follow_the_family_id_rule(capsys, argv, option):
+    # int() reads each of these values, but a family id parameter and a
+    # tower file refuse them, and so does every integer option: a usage
+    # error before any command runs
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"argument {option}: invalid integer value: {argv[-1]!r}" in err
+
+
 def test_catalog_list_refuses_a_range_above_the_limit(capsys, monkeypatch):
     monkeypatch.setattr("cptower.catalog.MAX_RANGE", 2)
     code, out, err = run_cli(capsys, "catalog-list", "--range", "3")

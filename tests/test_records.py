@@ -123,6 +123,13 @@ def test_family_id_normalises_params_on_every_path():
         lambda: FamilyId._make(["GB2", (1, 2)]),
         lambda: FamilyId("GB2", (1,))._replace(tag="CP3"),
         lambda: pickle.loads(pickle.dumps(_raw(FamilyId, "N8", ()))),
+        # a parameter is an int or a decimal string of the tower-file rule,
+        # so int() may not round a float or read a bool on any path
+        lambda: FamilyId("GB2", (1.5,)),
+        lambda: FamilyId("GB2", (True,)),
+        lambda: FamilyId("Eta2", (0, -3))._replace(params=(2.9, -1.2)),
+        lambda: FamilyId._make(["GB2", ("1_0",)]),
+        lambda: pickle.loads(pickle.dumps(_raw(FamilyId, "GB2", (False,)))),
     ],
 )
 def test_family_id_checks_every_path(make):
