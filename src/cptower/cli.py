@@ -120,14 +120,19 @@ def _var_index(token: str, names: list[str]) -> int:
     raise ValueError(f"unknown generator {token!r}")
 
 
-def parse_poly_text(text: str, nvars: int, names=None) -> Poly:
+def parse_poly_text(text: str, nvars: int) -> Poly:
     """Parse "3x^2 - x*y + 2" style input into an exact polynomial.
 
     Generators are x, y, z, w (or x1..xN for wider rings); '*' is optional,
     exponents use '^'.  Note "x2" names the second generator -- powers always
-    need the caret.
+    need the caret.  Spaces are dropped, so a digit may not follow a space
+    that follows a letter or a digit: "x 2", "1 2" and "x^2 3" are refused
+    rather than read as y, 12 and x^23.
     """
-    names = names if names is not None else _gen_names(nvars)
+    if re.search(r"[a-zA-Z0-9]\s+[0-9]", text):
+        raise ValueError("a space separates a digit from the name or number "
+                         f"before it in {text!r}")
+    names = _gen_names(nvars)
     s = text.replace(" ", "").replace("*", "")
     if not s:
         raise ValueError("empty polynomial")
@@ -164,8 +169,8 @@ def _format_monomial(mono, names) -> str:
     return "*".join(factors) if factors else "1"
 
 
-def format_poly(p: Poly, names=None) -> str:
-    names = names if names is not None else _gen_names(p.nvars)
+def format_poly(p: Poly) -> str:
+    names = _gen_names(p.nvars)
     if p.is_zero():
         return "0"
     parts = []
@@ -239,7 +244,7 @@ def _cmd_ring(args) -> int:
     print("generators:", " ".join(names))
     print("caps:", " ".join(str(c) for c in pres.caps))
     for i, rel in enumerate(pres.relations, start=1):
-        print(f"relation {i}: {format_poly(rel, names)}")
+        print(f"relation {i}: {format_poly(rel)}")
     if args.poincare:
         print("poincare:", " ".join(str(b) for b in pres.poincare()))
     if basis is not None:
@@ -326,11 +331,8 @@ def _cmd_chern_tensor(args) -> int:
 def _cmd_chern_sum(args) -> int:
     from .chern import whitney_sum_of_lines
     base = _resolve_presentation(args.base)
-    names = _gen_names(base.ngens)
-    lines = [
-        parse_poly_text(part, base.ngens, names)
-        for part in args.lines.split(",")
-    ]
+    lines = [parse_poly_text(part, base.ngens)
+             for part in args.lines.split(",")]
     desc = whitney_sum_of_lines(base, lines)
     _print_json({"schema": _SCHEMA, **desc.to_json()})
     return 0

@@ -70,9 +70,10 @@ depends on:
     and it is dropped.  An interior node (depth 1 to g - 2) depends only
     on its source relation and its prefix, so the target stores the
     children it found, each a box index with its grown wedge, keyed by
-    (relation, prefix box indices), and every later source with that
-    relation at that depth reads them back.  Indexes and children share
-    the one store (``_BoxPowers.store``), and so the budget;
+    (plan entry, prefix box indices), and every later source with that
+    relation at that depth, whose plan entry is then equal, reads them
+    back.  Indexes and children share the one store
+    (``_BoxPowers.store``), and so the budget;
 (c) at the last depth det M = cof . c is linear in the last column c, with
     cof[i] = (-1)^(g-1-i) times the wedge's minor on every row but i, so
     the survivors are kept when cof . c = +-1.
@@ -300,16 +301,16 @@ def _lincomb(n: int, terms) -> Iterator[int]:
     return acc
 
 
-def _split_relation(rel: Poly, depth: int) -> list:
+def _split_relation(rel: Poly, depth: int) -> tuple:
     """The parts of a homogeneous relation in x_0..x_depth: every exponent
-    e of x_depth, ascending, paired with the terms that multiply its e-th
-    power, each (coeff, ((i, x), ...)) over the earlier generators x_i
-    whose exponent x is non-zero."""
+    e of x_depth, ascending, paired with the tuple of terms that multiply
+    its e-th power, each (coeff, ((i, x), ...)) over the earlier generators
+    x_i whose exponent x is non-zero."""
     parts: dict[int, list] = {}
     for mono, coeff in rel.sorted_terms(reverse=True):
         pairs = tuple(filter(itemgetter(1), enumerate(mono[:depth])))
         parts.setdefault(mono[depth], []).append((coeff, pairs))
-    return sorted(parts.items())
+    return tuple(sorted((e, tuple(terms)) for e, terms in parts.items()))
 
 
 # the walk plan of every source presentation; an entry dies with its
@@ -317,22 +318,25 @@ def _split_relation(rel: Poly, depth: int) -> list:
 _splits: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _relation_splits(pres: RingPresentation) -> list:
-    """The walk plan of a source: per depth k, (n, parts) for relation k,
-    which leads with x_k^w, so it mentions only x_0..x_k.  n is the rank
-    of weight w, from the source's Poincare series and rank 0 one weight
-    past the top (no parts then: the image is zero anyway); a search needs
-    equal series, so these are the target's ``dims``.  Each part of x_k^e
-    is its terms (:func:`_split_relation`) and its fold (w - e, e), None
-    for e = 0.  Made once per presentation (equal ones share it)."""
+def _relation_splits(pres: RingPresentation) -> tuple:
+    """The walk plan of a source: per depth k, the entry (n, parts) for
+    relation k, which leads with x_k^w, so it mentions only x_0..x_k.  n
+    is the rank of weight w, from the source's Poincare series and rank 0
+    one weight past the top (no parts then: the image is zero anyway); a
+    search needs equal series, so these are the target's ``dims``.  Each
+    part of x_k^e is its terms (:func:`_split_relation`) and its fold (w -
+    e, e), None for e = 0.  Entries are tuples, and equal relations of
+    admissible sources give equal entries, so an entry keys the target's
+    walk nodes.  Made once per presentation (equal ones share it)."""
     plan = _splits.get(pres)
     if plan is None:
         dims = (*pres.poincare(), 0)
-        plan = _splits[pres] = []
+        plan = []
         for k, (w, rel) in enumerate(zip(pres.weights, pres.relations)):
             parts = _split_relation(rel, k) if dims[w] else ()
-            plan.append((dims[w], [(terms, (w - e, e) if e else None)
-                                   for e, terms in parts]))
+            plan.append((dims[w], tuple((terms, (w - e, e) if e else None)
+                                        for e, terms in parts)))
+        plan = _splits[pres] = tuple(plan)
     return plan
 
 
@@ -528,6 +532,11 @@ class _BoxPowers:
     L^(e-1), a walk node multiplies its prefix powers by it, and an index
     build folds the node's matrix A from it.
 
+    ``walk`` runs one search's column walk over these tables, reading the
+    source's walk plan (:func:`_relation_splits`); ``node_rows`` evaluates
+    a plan entry at a node's prefix, giving the key of its folded matrix A
+    and the image A must have.
+
     ``lanes`` holds the same values packed into big integers, one lane of
     bits per box column (:class:`_Lanes`), made on first use: per lane
     width in use, one integer of len(columns) lanes per coordinate an
@@ -535,7 +544,7 @@ class _BoxPowers:
 
     ``store`` maps a key to its value, for two kinds of entry.
     ``index(key)`` is the image index of the folded matrix A a walk node's
-    key names (``_ColumnWalk.node_rows``): one sorted list with a lane per
+    key names (``node_rows``): one sorted list with a lane per
     box column, its image under A packed into one exact integer, shifted
     left past the column's box index, plus those box indices in the same
     order; computed for all columns at once in the lanes (see
@@ -548,12 +557,13 @@ class _BoxPowers:
     and below the top weight multiplying by a non-zero class q is injective
     (Poincare duality, the ring being generated in degree 2), so keying by
     q costs no extra builds.  An interior walk node, depth 1 <= d <= g - 2,
-    keyed by (source relation d, the prefix's box indices), holds its
-    children in walk order, each (box index, grown wedge) with the
-    dependent columns dropped, and :func:`_children_cells` cells.  Those
-    depend on nothing else, so the sources of a sweep that share a
-    relation (every three-stage source has relation 1 in one of two forms)
-    walk each such node once per target.
+    keyed by (the plan entry of source relation d, *the prefix's box
+    indices), holds its children in walk order, each (box index, grown
+    wedge) with the dependent columns dropped, and :func:`_children_cells`
+    cells.  Those depend on nothing else, and the sources a target admits
+    have equal plan entries for equal relations, so the sources of a sweep
+    that share a relation (every three-stage source has relation 1 in one
+    of two forms) walk each such node once per target.
 
     The tables hold len(values) * len(columns) power values and the bases
     of every weight, exactly :func:`table_cells`, and the store has the
@@ -581,8 +591,8 @@ class _BoxPowers:
         self.rows = list(zip(*self.values))  # per box column
         self.lanes = _Lanes(self.values)
         self.peaks = [max(map(abs, v)) for v in self.values]
-        # an index key starts with the int n, a node key with a relation's
-        # terms tuple, so the two kinds of key never collide
+        # an index key starts with the int n, a node key with a plan
+        # entry, a tuple, so the two kinds of key never collide
         self.store: dict = {}
         self.room = MAX_SEARCH_CELLS - table_cells(pres_b, bound)
 
@@ -648,53 +658,14 @@ class _BoxPowers:
         return values
 
 
-@lru_cache(maxsize=1)
-def _box_powers(pres_b: RingPresentation, bound: int) -> _BoxPowers:
-    """The tables of the latest (target, bound) only: a sweep that meets
-    its pairs target by target builds each target's tables once, whatever
-    the sources, and no more than one target's tables outlive a search."""
-    return _BoxPowers(pres_b, bound)
-
-
-class _ColumnWalk:
-    """One search's walk: the source relations, over target tables shared
-    by consecutive searches.
-
-    At a prefix node, the source relation of that depth folds into a dense
-    matrix A and a vector ``target``: its image at candidate idx is zero
-    exactly when sum(A[j][p] * values[p][idx] for p) == target[j] for every
-    row j.  A is named by a short key of the node's prefix values
-    (``node_rows``), so a node whose A is indexed already costs one hash of
-    that key in the target's store; A itself is built only for a key the
-    store misses (``_BoxPowers.index``).  The candidates passing are one
-    lookup (``_survivors``), ascending, so the contract order holds.  The
-    walk reads the source's plan (``_relation_splits``), made once per
-    source presentation, and the target makes each fold on first use.
-
-    ``walk`` carries the wedge of the placed columns (``_wedge``), from
-    ``{0: 1}``: a survivor that empties it is dependent and is skipped.
-    With g - 1 columns placed, cof[i] = (-1)^(g-1-i) times its minor on
-    every row but i, so det M = cof . c with no further determinant.  At an
-    interior node the surviving columns and their wedges come from the
-    same store when an earlier walk with the same relation at that depth
-    met the node (``children`` fills it).
-    """
-
-    def __init__(self, pres_a: RingPresentation, tables: _BoxPowers):
-        self.tables = tables
-        # relation d by content, sorted terms (hashed in C): a node key
-        self.relation_keys = pres_a.identity[1]
-        self.plan = _relation_splits(pres_a)
-
-    def node_rows(self, depth: int, cols: list) -> tuple:
-        """Relation ``depth`` at the prefix columns ``cols`` (box indices),
-        as (key, target): the key (n, ((w - e, e), q), ...) of its folded
-        matrix A, with q the evaluated prefix part of each x_depth^e, e >=
-        1, that is non-zero (see ``_BoxPowers``), and the image each of the
-        n rows of A must have."""
-        t = self.tables
-        rows, offset, dims, fold = t.rows, t.offset, t.dims, t.fold
-        n, parts = self.plan[depth]
+    def node_rows(self, rel: tuple, cols: list) -> tuple:
+        """The plan entry ``rel`` of relation d = len(cols) at the prefix
+        columns ``cols`` (box indices), as (key, target): the key (n, ((w -
+        e, e), q), ...) of its folded matrix A, with q the evaluated prefix
+        part of each x_d^e, e >= 1, that is non-zero, and the image each of
+        the n rows of A must have."""
+        rows, offset, dims, fold = self.rows, self.offset, self.dims, self.fold
+        n, parts = rel
         key, target = [n], (0,) * n
         for terms, part in parts:
             q = None  # the prefix part, evaluated term by term
@@ -715,45 +686,41 @@ class _ColumnWalk:
                 if coeff != 1:
                     v = [coeff * vm for vm in v]
                 q = v if q is None else list(map(add, q, v))
-            if part is None:  # x_depth^0: the constant part
+            if part is None:  # x_d^0: the constant part
                 target = tuple(map(neg, q))
             elif any(q):
                 key.append((part, tuple(q)))
         return tuple(key), target
 
-    def children(self, node: tuple, depth: int, cols: list, wedge: dict
-                 ) -> list:
-        """(box index, grown wedge) of each survivor of the node that keeps
-        the placed columns independent, ascending, kept in the store under
-        the node key ``node``."""
-        tables = self.tables
-        key, target = self.node_rows(depth, cols)
-        children = [(idx, grown)
-                    for idx in _survivors(tables.index(key), target)
-                    if (grown := _wedge(wedge, tables.columns[idx]))]
-        return tables.keep(node, children, _children_cells(children))
-
-    def walk(self, depth: int, cols: list, wedge: dict
+    def walk(self, plan: tuple, depth: int, cols: list, wedge: dict
              ) -> Iterator[tuple[Matrix, int]]:
-        tables = self.tables
-        columns, g, store = tables.columns, tables.g, tables.store
+        """Every certificate, with its determinant, in the contract order,
+        below the prefix ``cols`` whose placed columns have the wedge
+        ``wedge`` (``{0: 1}`` at the root), for the source whose walk plan
+        is ``plan`` (see (b) and (c) of the module docstring)."""
+        columns, g, store = self.columns, self.g, self.store
+        rel = plan[depth]
         if 0 < depth < g - 1:
             # root and last level unshared until ROADMAP item 1 (RSS per pass)
-            node = (self.relation_keys[depth], *cols)
+            node = (rel, *cols)
             children = store.get(node)
             if children is None:
-                children = self.children(node, depth, cols, wedge)
+                key, target = self.node_rows(rel, cols)
+                children = [(idx, grown)
+                            for idx in _survivors(self.index(key), target)
+                            if (grown := _wedge(wedge, columns[idx]))]
+                self.keep(node, children, _children_cells(children))
             for idx, grown in children:
-                yield from self.walk(depth + 1, cols + [idx], grown)
+                yield from self.walk(plan, depth + 1, cols + [idx], grown)
             return
-        key, target = self.node_rows(depth, cols)
-        hits = _survivors(store.get(key) or tables.index(key), target)
+        key, target = self.node_rows(rel, cols)
+        hits = _survivors(store.get(key) or self.index(key), target)
         if depth < g - 1:
             # the root grows wedges lazily, as a search may stop early
             for idx in hits:
                 grown = _wedge(wedge, columns[idx])
                 if grown:
-                    yield from self.walk(depth + 1, cols + [idx], grown)
+                    yield from self.walk(plan, depth + 1, cols + [idx], grown)
             return
         if not hits:
             return
@@ -765,6 +732,14 @@ class _ColumnWalk:
             if det in (1, -1):
                 picked = [columns[k] for k in cols + [idx]]
                 yield tuple(tuple(c[i] for c in picked) for i in range(g)), det
+
+
+@lru_cache(maxsize=1)
+def _box_powers(pres_b: RingPresentation, bound: int) -> _BoxPowers:
+    """The tables of the latest (target, bound) only: a sweep that meets
+    its pairs target by target builds each target's tables once, whatever
+    the sources, and no more than one target's tables outlive a search."""
+    return _BoxPowers(pres_b, bound)
 
 
 def _search_matrices(
@@ -780,8 +755,8 @@ def _search_matrices(
     elif bound == 0:
         found = ()  # the box holds only the zero column, in no certificate
     else:
-        found = _ColumnWalk(pres_a, _box_powers(pres_b, bound)).walk(
-            0, [], {0: 1}
+        found = _box_powers(pres_b, bound).walk(
+            _relation_splits(pres_a), 0, [], {0: 1}
         )
     for rows, det in found:
         if not verify(pres_a, pres_b, rows):

@@ -475,6 +475,8 @@ def test_walk_plan_ranks_are_the_target_dims(theorem, n, pairs):
      "f82d1cffcff6c85789ebe0c693ca9f56e5685ad562ae808de67b15731868a120"),
     ("two-stage", 3,
      "6ac5fb9858f2bef3e66a8a41f0f15e32bd90f196a14b7c49366927d19ce4b711"),
+    ("eight-dim", 8,
+     "68578339e5200baa0196c69eed3a4cba8603e75ea804404769e47027600eec22"),
 ])
 def test_sweep_report_is_pinned(theorem, n, digest):
     # the rows and summary of a bound-3 sweep are pinned byte for byte,
@@ -503,15 +505,15 @@ def test_sweep_builds_each_image_index_once(monkeypatch):
         built[id(lanes), a] += 1
         return build(lanes, peaks, a)
 
-    def counting_rows(self, depth, cols):
-        lookups.append(depth)
-        return node_rows(self, depth, cols)
+    def counting_rows(self, rel, cols):
+        lookups.append(len(cols))
+        return node_rows(self, rel, cols)
 
     build = isosearch._image_index
-    node_rows = isosearch._ColumnWalk.node_rows
+    node_rows = isosearch._BoxPowers.node_rows
     monkeypatch.setattr(isosearch, "_BoxPowers", KeptBoxPowers)
     monkeypatch.setattr(isosearch, "_image_index", counting_index)
-    monkeypatch.setattr(isosearch._ColumnWalk, "node_rows", counting_rows)
+    monkeypatch.setattr(isosearch._BoxPowers, "node_rows", counting_rows)
     isosearch._box_powers.cache_clear()
     try:
         report = sweep_distinctness("eight-dim", 2, 2)
@@ -543,12 +545,12 @@ def test_sweep_shares_interior_nodes_across_sources(
     # whichever source meets it first, and the report stays byte for byte.
     # Either way each target builds its indexes once: 438 in the sweep
     rows, wedge_calls, built = Counter(), [], []
-    node_rows, wedge = isosearch._ColumnWalk.node_rows, isosearch._wedge
+    node_rows, wedge = isosearch._BoxPowers.node_rows, isosearch._wedge
     build = isosearch._image_index
 
-    def counting_rows(self, depth, cols):
-        rows[depth] += 1
-        return node_rows(self, depth, cols)
+    def counting_rows(self, rel, cols):
+        rows[len(cols)] += 1
+        return node_rows(self, rel, cols)
 
     def counting_wedge(w, col):
         wedge_calls.append(1)
@@ -558,7 +560,7 @@ def test_sweep_shares_interior_nodes_across_sources(
         built.append((lanes, a))  # the lanes kept alive keep ids apart
         return build(lanes, peaks, a)
 
-    monkeypatch.setattr(isosearch._ColumnWalk, "node_rows", counting_rows)
+    monkeypatch.setattr(isosearch._BoxPowers, "node_rows", counting_rows)
     monkeypatch.setattr(isosearch, "_wedge", counting_wedge)
     monkeypatch.setattr(isosearch, "_image_index", counting_index)
     if not shared:

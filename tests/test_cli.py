@@ -56,6 +56,11 @@ def run_json(capsys, *argv):
         ("x2", 2, {(0, 1): 1}),  # "x2" is the second generator, not x^2
         ("x1^3x2", 2, {(3, 1): 1}),
         ("z-w", 4, {(0, 0, 1, 0): 1, (0, 0, 0, 1): -1}),
+        # a space between factors, or around a caret or a sign, is dropped
+        ("2 x", 2, {(1, 0): 2}),
+        ("x y", 2, {(1, 1): 1}),
+        ("x ^ 2", 2, {(2, 0): 1}),
+        ("3 x^2 + 2 y", 2, {(2, 0): 3, (0, 1): 2}),
     ],
 )
 def test_parse_poly_text(text, nvars, terms):
@@ -115,6 +120,10 @@ def test_parse_poly_text_builds_one_poly(monkeypatch):
         ("x^", 1),
         ("y", 1),
         ("3..2", 1),
+        # spaces are dropped, so these would read as y, 12 and x^23
+        ("x 2", 2),
+        ("1 2", 1),
+        ("x^2 3", 1),
     ],
 )
 def test_parse_poly_text_rejects(text, nvars):
@@ -225,6 +234,29 @@ def test_ring_rejects_forward_reference_file(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.strip() == "error: stage 2 chern references generator 3"
+
+
+@pytest.mark.parametrize("chern, message", [
+    ([5, []], "stage 2 chern entry 1: polynomial must be a list of terms"),
+    ([[{"coeff": "1"}], []],
+     "stage 2 chern entry 1: term 1: needs 'coeff' and 'exps'"),
+    # an exponent past the base's generators is read before it is cut
+    ([[{"coeff": "1", "exps": ["0", "-1"]}], []],
+     "stage 2 chern entry 1: term 1: negative exponent"),
+])
+def test_ring_rejects_malformed_chern_terms_in_a_file(
+    capsys, tmp_path, chern, message
+):
+    spec_file = tmp_path / "bad.json"
+    spec_file.write_text(json.dumps({
+        "stages": [
+            {"fiber_dim": "1", "chern": [[], []]},
+            {"fiber_dim": "1", "chern": chern},
+        ],
+    }))
+    code, out, err = run_cli(capsys, "ring", str(spec_file))
+    assert (code, out) == (2, "")
+    assert err.strip() == f"error: {message}"
 
 
 def test_ring_unknown_family(capsys):
@@ -716,6 +748,15 @@ def test_chern_normalize_fixture(capsys):
 
 
 # -- catalog-list -----------------------------------------------------------
+
+
+def test_chern_refuses_a_digit_spaced_from_a_name(capsys):
+    # "x 2" would read as y on a 2-generator base
+    code, out, err = run_cli(capsys, "chern", "normalize", "--base", "H0",
+                             "--c1", "x 2", "--c2", "0")
+    assert (code, out) == (2, "")
+    assert err.strip() == ("error: a space separates a digit from the name "
+                           "or number before it in 'x 2'")
 
 
 def test_catalog_list_text(capsys):

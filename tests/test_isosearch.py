@@ -6,6 +6,7 @@ import random
 from array import array
 from fractions import Fraction
 from functools import cache
+from types import GeneratorType
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -31,9 +32,9 @@ from cptower.isosearch import (
     MAX_SEARCH_CELLS,
     _box_powers,
     _BoxPowers,
-    _ColumnWalk,
     _image_index,
     _Lanes,
+    _relation_splits,
     _survivors,
     _wedge,
     admit,
@@ -99,6 +100,8 @@ def test_verify_shape_errors_and_poincare():
         verify(cp(3), hirzebruch(0), ((1,),))
     with pytest.raises(IsoShapeError, match="expected a 2x2 matrix"):
         verify(hirzebruch(0), hirzebruch(0), ((1, 0),))
+    with pytest.raises(IsoShapeError, match="expected a 2x2 matrix"):
+        verify(hirzebruch(0), hirzebruch(0), (1, 2))  # rows not iterable
     with pytest.raises(IsoShapeError, match="entries must be integers"):
         verify(cp(3), cp(3), (("x",),))
     # same generator count, different graded ranks: False, not an error
@@ -545,7 +548,6 @@ def test_node_survivors_match_substitution(g, bound, data):
         [r for r in rings if r.poincare() == pa.poincare()]
     ))
     tables = _BoxPowers(pb, bound)
-    walk = _ColumnWalk(pa, tables)
     depth = data.draw(st.integers(0, g - 1))
     prefix, wedge = [], {0: 1}
     for _ in range(depth):
@@ -553,7 +555,7 @@ def test_node_survivors_match_substitution(g, bound, data):
         wedge = _wedge(wedge, tables.columns[idx])
         assume(wedge)
         prefix.append(idx)
-    key, target = walk.node_rows(depth, prefix)
+    key, target = tables.node_rows(_relation_splits(pa)[depth], prefix)
     assert list(_survivors(tables.index(key), target)) == (
         node_survivors_by_substitution(pa, pb, bound, prefix)
     )
@@ -826,7 +828,9 @@ def test_search_frees_its_tables_on_return():
     try:
         assert search(pres("Zeta3:1,0,2"), pres("Zeta3:0,1,2"), 2).found
         assert search_all(pres("GB2:1"), pres("GB2:2"), 1)
-        walks = sum(isinstance(o, _ColumnWalk) for o in gc.get_objects())
+        walks = sum(isinstance(o, GeneratorType)
+                    and o.gi_code is _BoxPowers.walk.__code__
+                    for o in gc.get_objects())
         tables = sum(isinstance(o, _BoxPowers) for o in gc.get_objects())
         _box_powers.cache_clear()
         left = sum(isinstance(o, _BoxPowers) for o in gc.get_objects())
@@ -1026,6 +1030,7 @@ def test_compose_certificates():
     (((1, 0), (0, 1)), ((1, 2, 3), (4, 5, 6), (7, 8, 9))),
     (((1, 2, 3), (4, 5, 6), (7, 8, 9)), ((1, 0), (0, 1))),
     (((1, 0), (0, 1)), ((1, 0), (0,))),
+    (((1, 0), (0, 1)), (1, 2)),  # rows that are not iterable
 ])
 def test_compose_refuses_mismatched_shapes(m_ab, m_bc):
     with pytest.raises(IsoShapeError, match="expected a [23]x[23] matrix"):
