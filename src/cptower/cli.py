@@ -125,15 +125,20 @@ def parse_poly_text(text: str, nvars: int) -> Poly:
 
     Generators are x, y, z, w (or x1..xN for wider rings); '*' is optional,
     exponents use '^'.  Note "x2" names the second generator -- powers always
-    need the caret.  Spaces are dropped, so a digit may not follow a space
-    that follows a letter or a digit: "x 2", "1 2" and "x^2 3" are refused
-    rather than read as y, 12 and x^23.
+    need the caret.  Whitespace and '*' are dropped, so a digit may not
+    follow whitespace that follows a letter or a digit: "x 2", "1 2" and
+    "x^2 3" are refused rather than read as y, 12 and x^23.  Nor may a digit
+    follow a '*' (a coefficient comes first): "x*2", "x**2", "2*3" and
+    "x^2*3" are refused rather than read as y, y, 23 and x^23.
     """
     if re.search(r"[a-zA-Z0-9]\s+[0-9]", text):
         raise ValueError("a space separates a digit from the name or number "
                          f"before it in {text!r}")
+    s = re.sub(r"\s+", "", text)
+    if re.search(r"\*[0-9]", s):
+        raise ValueError(f"a digit follows a '*' in {text!r}")
     names = _gen_names(nvars)
-    s = text.replace(" ", "").replace("*", "")
+    s = s.replace("*", "")
     if not s:
         raise ValueError("empty polynomial")
     terms: dict = {}  # one dict for every term, so linear in their count

@@ -79,7 +79,12 @@ depends on:
     the survivors are kept when cof . c = +-1.
 
 Every certificate the engine yields is re-checked by :func:`verify`, which
-substitutes and reduces directly and shares no code with the engine.
+substitutes the matrix's linear forms into each relation (``Poly.substitute``)
+and reduces the result directly, with no tables, plan or walk.  The two
+paths share one piece: both reduce monomials by
+``RingPresentation._reduce_monomial``, the engine through ``_BoxPowers.fold``
+and ``verify`` through ``normal_form``; the tests check that reduction
+against a dense multiplication table built independently.
 """
 
 from __future__ import annotations
@@ -151,16 +156,9 @@ def _check_matrix(g: int, rows) -> Matrix:
 def images_from_matrix(pres_b: RingPresentation, rows: Matrix) -> list[Poly]:
     """Column k as a linear form in the target generators."""
     g = pres_b.ngens
-    images = []
-    for k in range(g):
-        terms = {}
-        for i in range(g):
-            if rows[i][k]:
-                exps = [0] * g
-                exps[i] = 1
-                terms[tuple(exps)] = rows[i][k]
-        images.append(Poly(g, terms))
-    return images
+    units = [(0,) * i + (1,) + (0,) * (g - 1 - i) for i in range(g)]
+    return [Poly(g, {units[i]: rows[i][k] for i in range(g)})
+            for k in range(g)]
 
 
 def verify(pres_a: RingPresentation, pres_b: RingPresentation, rows) -> bool:

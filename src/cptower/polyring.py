@@ -59,7 +59,7 @@ class Poly:
     between threads and processes.  Do not poke at ``terms`` in place.
     """
 
-    __slots__ = ("nvars", "terms", "_hash")
+    __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[Monomial, int] | None = None):
         if nvars < 0:
@@ -78,7 +78,6 @@ class Poly:
                     raise ValueError(f"negative exponent in monomial {mono}")
                 clean[tuple(mono)] = coeff
         self.terms = clean
-        self._hash = None
 
     # -- constructors -----------------------------------------------------
 
@@ -116,9 +115,7 @@ class Poly:
         return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.nvars, frozenset(self.terms.items())))
-        return self._hash
+        return hash((self.nvars, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -212,50 +209,43 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
+        """Square and multiply: ``p ** n`` takes floor(log2 n) + popcount(n)
+        - 1 products, none of them by the constant 1."""
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.constant(self.nvars, 1)
+        if n == 0:
+            return Poly.constant(self.nvars, 1)
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = base if result is None else result * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def substitute(self, images: Sequence["Poly"]) -> "Poly":
         """Evaluate with generator k replaced by ``images[k]``.
 
         All images must live in one common target ring; the result lives
-        there too.  This is the workhorse behind isomorphism verification.
+        there too.  Each term is its coefficient times ``images[k] ** e``
+        for each non-zero exponent e.  This is the workhorse behind
+        isomorphism verification.
         """
         if len(images) != self.nvars:
             raise ValueError(
                 f"need {self.nvars} images, got {len(images)}"
             )
-        if self.nvars == 0:
-            target_nvars = 0
-        else:
-            target_nvars = images[0].nvars
-            for img in images[1:]:
-                if img.nvars != target_nvars:
-                    raise ValueError("images live in different rings")
+        target_nvars = images[0].nvars if images else 0
+        if any(img.nvars != target_nvars for img in images):
+            raise ValueError("images live in different rings")
         result = Poly(target_nvars)
-        # cache powers of each image; exponents here are tiny
-        powers: list[dict[int, Poly]] = [dict() for _ in range(self.nvars)]
-
-        def power(k: int, e: int) -> Poly:
-            cached = powers[k].get(e)
-            if cached is None:
-                cached = images[k] ** e
-                powers[k][e] = cached
-            return cached
-
         for mono, coeff in self.terms.items():
             term = Poly.constant(target_nvars, coeff)
-            for k, e in enumerate(mono):
+            for img, e in zip(images, mono):
                 if e:
-                    term = term * power(k, e)
+                    term = term * img ** e
             result = result + term
         return result
 

@@ -69,11 +69,13 @@ class Stage(namedtuple("Stage", "fiber_dim chern")):
 
 def _check_stage(idx: int, stage: Stage) -> int:
     """Raise TowerSpecError unless ``stage`` fits as stage ``idx`` (from 1)
-    of a tower: its fiber size and its Chern classes, in the idx - 1 earlier
-    generators and homogeneous of their degrees.  Returns the number of its
-    Chern terms."""
+    of a tower: its fiber size, exactly an ``int`` and checked first, and
+    its Chern classes, in the idx - 1 earlier generators and homogeneous of
+    their degrees.  Returns the number of its Chern terms."""
     base_gens = idx - 1
     n, chern = stage
+    if type(n) is not int:
+        raise TowerSpecError(f"stage {idx} fiber_dim must be an int, got {n!r}")
     if n < 1:
         raise TowerSpecError(
             f"stage {idx} fiber_dim must be at least 1 (fiber at least CP^1)"
@@ -145,7 +147,8 @@ class TowerSpec(namedtuple("TowerSpec", "stages")):
 class RingPresentation:
     """Z[x_1..x_g] modulo one monic relation per generator.
 
-    ``caps[k]`` is the largest surviving exponent of x_{k+1}; the reduced
+    ``caps[k]``, exactly an ``int`` (a float, bool or string is refused,
+    not rounded), is the largest surviving exponent of x_{k+1}; the reduced
     monomial basis is every exponent tuple below the caps and has
     prod(caps[k]+1) elements.  Instances are immutable (the only interior
     state is a memo table for monomial normal forms, which is a pure cache).
@@ -167,7 +170,7 @@ class RingPresentation:
     """
 
     def __init__(self, caps: Sequence[int], relations: Sequence[Poly]):
-        caps = tuple(map(int, caps))
+        caps = tuple(caps)
         relations = tuple(relations)
         g = len(caps)
         if len(relations) != g:
@@ -176,6 +179,10 @@ class RingPresentation:
         weights: list[int | None] = []
         keys: list[tuple] = []
         for k, (cap, rel) in enumerate(zip(caps, relations)):
+            if type(cap) is not int:
+                raise ValueError(
+                    f"cap for generator {k + 1} must be an int, got {cap!r}"
+                )
             if cap < 1:
                 raise ValueError(f"cap for generator {k + 1} must be >= 1")
             if rel.nvars != g:
@@ -466,8 +473,6 @@ def matrix_det(rows: Sequence[Sequence[int]]) -> int:
         return 1
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    if n == 1:
-        return rows[0][0]
     if n == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     m = [list(r) for r in rows]

@@ -61,6 +61,8 @@ def run_json(capsys, *argv):
         ("x y", 2, {(1, 1): 1}),
         ("x ^ 2", 2, {(2, 0): 1}),
         ("3 x^2 + 2 y", 2, {(2, 0): 3, (0, 1): 2}),
+        # so is any other whitespace
+        ("3\tx", 1, {(1,): 3}),
     ],
 )
 def test_parse_poly_text(text, nvars, terms):
@@ -124,6 +126,11 @@ def test_parse_poly_text_builds_one_poly(monkeypatch):
         ("x 2", 2),
         ("1 2", 1),
         ("x^2 3", 1),
+        # so is '*', so a digit after one would read as y, y, 23 and x^23
+        ("x*2", 2),
+        ("x**2", 2),
+        ("2*3", 1),
+        ("x^2*3", 1),
     ],
 )
 def test_parse_poly_text_rejects(text, nvars):
@@ -757,6 +764,14 @@ def test_chern_refuses_a_digit_spaced_from_a_name(capsys):
     assert (code, out) == (2, "")
     assert err.strip() == ("error: a space separates a digit from the name "
                            "or number before it in 'x 2'")
+
+
+def test_chern_refuses_a_digit_after_a_star(capsys):
+    # "x*2" would read as y on a 2-generator base
+    code, out, err = run_cli(capsys, "chern", "tensor", "--base", "H0",
+                             "--c1", "x*2", "--c2", "0", "--by=0")
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: a digit follows a '*' in 'x*2'"
 
 
 def test_catalog_list_text(capsys):

@@ -83,6 +83,8 @@ def test_verify_known_certificates():
     # identity always certifies a presentation against itself
     assert verify(pres("Zeta3:1,1,2"), pres("Zeta3:1,1,2"),
                   ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    # x -> -x on CP^1000 raises the image to the power 1001
+    assert verify(cp(1000), cp(1000), ((-1,),))
 
 
 def test_verify_rejects_bad_certificates():

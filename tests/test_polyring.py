@@ -118,6 +118,45 @@ def test_small_arithmetic_fixtures():
         x + Poly.variable(3, 0)
 
 
+def test_mixed_operands_are_refused():
+    x = Poly.variable(1, 0)
+    for other in (1.5, "x", None):
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+            with pytest.raises(TypeError):
+                op(x, other)
+            with pytest.raises(TypeError):
+                op(other, x)
+    assert x != object() and not x == object()
+
+
+def test_hash_follows_equality():
+    a = p(2, {(1, 0): 2, (0, 1): -1})
+    b = Poly.variable(2, 0) * 2 - Poly.variable(2, 1)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, Poly.zero(2)}) == 2
+    assert Poly.__slots__ == ("nvars", "terms")
+
+
+@pytest.mark.parametrize("n", range(1, 18))
+def test_pow_squares_and_multiplies(monkeypatch, n):
+    # square and multiply, never by the constant 1: floor(log2 n) squarings
+    # and popcount(n) - 1 further products
+    x = Poly.variable(1, 0) + Poly.constant(1, 1)
+    expected = Poly.constant(1, 1)
+    for _ in range(n):
+        expected = expected * x
+    products = []
+    real_mul = Poly.__mul__
+
+    def counting_mul(self, other):
+        products.append(1)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    assert x ** n == expected
+    assert len(products) == n.bit_length() - 1 + n.bit_count() - 1
+
+
 def test_big_integer_coefficients_survive():
     big = 10 ** 40
     q = Poly.constant(1, big) * Poly.constant(1, big)
@@ -155,6 +194,12 @@ def test_substitute_fixture():
     x = Poly.variable(2, 0)
     y = Poly.variable(2, 1)
     assert q.substitute((y, x + y)) == y * y + x + y
+
+
+def test_substitute_without_generators():
+    c = Poly.constant(0, 5)
+    assert c.substitute([]) == c
+    assert Poly.zero(0).substitute(()) == Poly.zero(0)
 
 
 def test_substitute_validation():

@@ -55,6 +55,11 @@ def zeta_spec(s: int, r: int, a: int) -> TowerSpec:
 def test_towerspec_validation_messages():
     with pytest.raises(TowerSpecError, match="stage 1 fiber_dim must be at least 1"):
         TowerSpec((Stage(0, ()),))
+    # a fiber_dim is exactly an int: True is not CP^1, nor 2.0 or "2" CP^2
+    for n in (True, 2.0, "2"):
+        with pytest.raises(TowerSpecError,
+                           match=f"stage 1 fiber_dim must be an int, got {n!r}"):
+            TowerSpec((Stage(n, (Poly.zero(0),) * 3),))
     with pytest.raises(TowerSpecError, match="stage 1 expects 2 chern classes, got 1"):
         TowerSpec((Stage(1, (Poly.zero(0),)),))
     with pytest.raises(
@@ -318,6 +323,11 @@ def test_presentation_validation():
         RingPresentation((3,), ())
     with pytest.raises(ValueError, match="must be >= 1"):
         RingPresentation((0,), (Poly(1, {(1,): 1}),))
+    # a cap is exactly an int: none of these is read as 1
+    for cap in (1.9, True, "1"):
+        with pytest.raises(ValueError, match="cap for generator 1 must be an "
+                           f"int, got {cap!r}"):
+            RingPresentation((cap,), (Poly(1, {(2,): 1}),))
     with pytest.raises(ValueError, match="full ambient ring"):
         RingPresentation((3,), (Poly(2, {(4, 0): 1}),))
     with pytest.raises(ValueError, match="monic with leading monomial x_1\\^4"):
@@ -328,6 +338,7 @@ def test_presentation_validation():
     p1 = RingPresentation((3,), (x4,))
     p2 = RingPresentation((3,), (x4,))
     assert p1 == p2 and hash(p1) == hash(p2)
+    assert p1 != object() and not p1 == object()
 
 
 @st.composite
@@ -634,6 +645,7 @@ def test_dense_table_on_hirzebruch():
 def test_matrix_det_fixtures():
     assert matrix_det([]) == 1
     assert matrix_det([[5]]) == 5
+    assert matrix_det([[0]]) == 0
     assert matrix_det([[1, 2], [3, 4]]) == -2
     assert matrix_det([[2, 0, 1], [1, 1, 0], [0, 3, 1]]) == 5
     assert matrix_det([[0, 1], [1, 0]]) == -1
