@@ -58,11 +58,11 @@ class FamilyId(namedtuple("FamilyId", "tag params")):
     __slots__ = ()
 
     def __new__(cls, tag: str, params: tuple = ()):
-        if tag not in _FAMILIES:
+        arity = _ARITY.get(tag)
+        if arity is None:
             raise ValueError(f"unknown family tag {tag!r}")
         what = repeat(f"family {tag} parameter")
         params = tuple(map(_parse_int, params, what))
-        arity = _FAMILIES[tag].__code__.co_argcount
         if len(params) != arity:
             raise ValueError(
                 f"family {tag} takes {arity} parameter(s), got {len(params)}"
@@ -118,12 +118,12 @@ _H0, _H1 = hirzebruch_spec(0), hirzebruch_spec(1)
 
 def _over(base: TowerSpec, fiber_dim: int, *chern: Poly) -> TowerSpec:
     """``base`` with one more stage: a CP^fiber_dim bundle of Chern classes
-    ``chern``."""
-    return TowerSpec(base.stages + (Stage(fiber_dim, chern),))
+    ``chern``, the only stage checked (:meth:`TowerSpec.with_stage`)."""
+    return base.with_stage(Stage(fiber_dim, chern))
 
 
 # Each family's builder, from its integer parameters; the builder's own
-# parameter count is the family's arity (FamilyId reads it).
+# parameter count is the family's arity (FamilyId reads it from _ARITY).
 _FAMILIES = {
     "CP3": lambda: _CP3,
     "GB2": lambda k: _over(_CP1, 2, Poly(1, {(1,): k}), *_zeros(1, 2)),
@@ -137,6 +137,7 @@ _FAMILIES = {
         _CP3, 1, Poly.zero(1), Poly(1, {(2,): u})),
     "N8": lambda u: _over(_CP3, 1, Poly.variable(1, 0), Poly(1, {(2,): u})),
 }
+_ARITY = {tag: fn.__code__.co_argcount for tag, fn in _FAMILIES.items()}
 
 
 def build(fid: FamilyId) -> TowerSpec:
@@ -400,27 +401,37 @@ def _entry_text(verdict: SearchVerdict) -> str:
     return json.dumps(verdict.to_json())
 
 
+@lru_cache(maxsize=16)
+def _exhausted(bound: int) -> tuple:
+    """Bounded exhaustion at ``bound`` and its :func:`_entry_text`, made
+    once per bound."""
+    verdict = SearchVerdict("none_within_bound", None, None, bound, "exhausted")
+    return verdict, _entry_text(verdict)
+
+
 def _trusted_entry(text: str, pres_a: RingPresentation,
                    pres_b: RingPresentation, bound: int) -> SearchVerdict:
     """The verdict a cache entry claims, re-derived in one pass; raise
     ValueError unless the entry is byte for byte its :func:`_entry_text`.
 
-    ``found`` is re-derived from the matrix alone: its entries read as ints
-    within ``bound``, :func:`verify` accepting it (g x g is checked before
-    any determinant), and the determinant computed here.  Anything else
-    can only be the bounded exhaustion at ``bound``, which only a new
-    search could re-check.
+    Bounded exhaustion at ``bound``, which only a new search could
+    re-check, is trusted by one comparison with its text (:func:`_exhausted`)
+    and never parsed.  Any other entry must be ``found``, re-derived from
+    the matrix alone: its entries read as ints within ``bound``,
+    :func:`verify` accepting it (g x g is checked before any determinant),
+    and the determinant computed here.
     """
+    exhausted, exhausted_text = _exhausted(bound)
+    if text == exhausted_text:
+        return exhausted
     entry = json.loads(text)
-    if entry["result"] == "found":
-        mat = tuple(tuple(int(e) for e in row) for row in entry["matrix"])
-        within = all(abs(e) <= bound for row in mat for e in row)
-        if not (within and verify(pres_a, pres_b, mat)):
-            raise ValueError("cached certificate is not one a search finds")
-        verdict = SearchVerdict("found", mat, matrix_det(mat), bound, None)
-    else:
-        verdict = SearchVerdict(
-            "none_within_bound", None, None, bound, "exhausted")
+    if entry["result"] != "found":
+        raise ValueError("cached entry is not one a search writes")
+    mat = tuple(tuple(int(e) for e in row) for row in entry["matrix"])
+    within = all(abs(e) <= bound for row in mat for e in row)
+    if not (within and verify(pres_a, pres_b, mat)):
+        raise ValueError("cached certificate is not one a search finds")
+    verdict = SearchVerdict("found", mat, matrix_det(mat), bound, None)
     if _entry_text(verdict) != text:
         raise ValueError("cached entry is not one a search writes")
     return verdict
@@ -455,8 +466,8 @@ def _cached_search(
     A pair whose Poincare series differ is decided before any file is
     opened: its ``betti_mismatch`` verdict is returned with no cache read
     or write, so the cache holds no such verdict.  An entry is read in one
-    binary read, decoded as strict UTF-8 (a byte-order mark or an invalid
-    byte makes it unreadable) and re-derived in one pass by
+    unbuffered read of its size, decoded as strict UTF-8 (a byte-order mark
+    or an invalid byte makes it unreadable) and re-derived in one pass by
     :func:`_trusted_entry`; one that is not byte for byte its re-derived
     verdict, or cannot be read, is recomputed and overwritten.  A failed
     cache write costs only a warning on stderr, once per directory and
@@ -466,9 +477,12 @@ def _cached_search(
         return search(pres_a, pres_b, bound)
     path = os.path.join(cache_dir, f"{_cache_key(pres_a, pres_b, bound)}.json")
     try:
-        with open(path, "rb") as fh:
-            text = fh.read().decode("utf-8")
-        return _trusted_entry(text, pres_a, pres_b, bound)
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            data = os.read(fd, os.fstat(fd).st_size)
+        finally:
+            os.close(fd)
+        return _trusted_entry(data.decode("utf-8"), pres_a, pres_b, bound)
     except (OSError, ValueError, KeyError, TypeError, OverflowError,
             RecursionError):
         pass

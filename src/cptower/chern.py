@@ -204,5 +204,4 @@ def projectivize(base_spec: TowerSpec, xi: BundleDescriptor) -> TowerSpec:
         raise BundleError("bundle is not defined over the given base tower")
     if xi.rank < 2:
         raise BundleError("projectivizing a line bundle gives a point fiber")
-    stage = Stage(fiber_dim=xi.rank - 1, chern=xi.chern)
-    return TowerSpec(stages=base_spec.stages + (stage,))
+    return base_spec.with_stage(Stage(fiber_dim=xi.rank - 1, chern=xi.chern))

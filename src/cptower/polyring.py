@@ -57,6 +57,7 @@ class Poly:
 
     Instances are never mutated after construction and are safe to share
     between threads and processes.  Do not poke at ``terms`` in place.
+    Each coefficient is exactly an ``int``; a float or bool is refused.
     """
 
     __slots__ = ("nvars", "terms")
@@ -68,6 +69,10 @@ class Poly:
         clean: dict[Monomial, int] = {}
         if terms:
             for mono, coeff in terms.items():
+                if type(coeff) is not int:
+                    raise ValueError(
+                        f"coefficient of {mono} must be an int, got {coeff!r}"
+                    )
                 if coeff == 0:
                     continue
                 if len(mono) != nvars:

@@ -120,7 +120,10 @@ class TowerSpec(namedtuple("TowerSpec", "stages")):
     """A tower's stages, checked on every path (``_make``, ``_replace``,
     unpickling too); as a namedtuple it also equals ``(stages,)``.  Any
     iterable of stages is taken, each checked as it is taken (so a generator
-    parses stage k + 1 only after stage k passed), and stored as a tuple."""
+    parses stage k + 1 only after stage k passed), and stored as a tuple.
+    :meth:`with_stage` appends one stage to a spec, checking only that
+    stage and the new tower's size, since every spec's stages are
+    checked."""
 
     __slots__ = ()
 
@@ -134,6 +137,15 @@ class TowerSpec(namedtuple("TowerSpec", "stages")):
 
     # namedtuple's _make, which _replace calls, would skip the checks
     _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def with_stage(self, stage: Stage) -> "TowerSpec":
+        """This tower with ``stage`` on top, refused with the message
+        ``TowerSpec(self.stages + (stage,))`` gives."""
+        g = len(self.stages) + 1
+        terms = _check_stage(g, stage) + sum(
+            len(c.terms) for s in self.stages for c in s.chern)
+        _check_tower_size(g, terms)
+        return super().__new__(type(self), self.stages + (stage,))
 
     @property
     def ngens(self) -> int:
@@ -426,7 +438,8 @@ def presentation(spec: TowerSpec) -> RingPresentation:
     caps: list[int] = []
     relations: list[Poly] = []
     for k, (n, chern) in enumerate(stages):
-        if _above_caps(chern, caps):
+        # stage 1's classes are constants, within any caps
+        if k and _above_caps(chern, caps):
             base = RingPresentation(caps, [_restrict(r, k) for r in relations])
             chern = [base.normal_form(c) for c in chern]
         # c_i shifts by x_k^(n+1-i): the exponents of x_k are all distinct,

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import weakref
 from collections import Counter
 
@@ -731,11 +732,15 @@ def test_cached_search_recomputes_tampered_fields(
         before = (cache_file.read_bytes(), cache_file.stat().st_ino)
         opened = []
 
-        def spying_open(path, *args, **kwargs):
-            opened.append(path)
-            return open(path, *args, **kwargs)
+        def spy(real):
+            def spying_open(path, *args, **kwargs):
+                opened.append(path)
+                return real(path, *args, **kwargs)
+            return spying_open
 
-        monkeypatch.setattr(catalog, "open", spying_open, raising=False)
+        # an entry is read with os.open, written with open
+        monkeypatch.setattr(catalog.os, "open", spy(os.open))
+        monkeypatch.setattr(catalog, "open", spy(open), raising=False)
         again = _cached_search(pres_a, pres_b, bound, str(tmp_path))
         assert again.to_json() == fresh and opened == []
         assert list(tmp_path.iterdir()) == [cache_file]
@@ -749,6 +754,34 @@ def test_cached_search_recomputes_tampered_fields(
     again = _cached_search(pres_a, pres_b, bound, str(tmp_path))
     assert again.to_json() == fresh
     assert json.loads(cache_file.read_text()) == fresh  # overwritten
+
+
+@pytest.mark.parametrize("planted", [
+    '{"bound": "2", "reason": "exhausted", "result": "none_within_bound"}',
+    '{"result":"none_within_bound", "bound": "2", "reason": "exhausted"}',
+    '{"result": "none_within_bound", "bound": "2", "reason": "exhausted"}\n',
+    '{"result": "none_within_bound", "bound": "3", "reason": "exhausted"}',
+], ids=["reordered-keys", "dropped-space", "trailing-newline", "bound-3"])
+def test_an_exhausted_entry_is_trusted_only_as_its_exact_text(
+    tmp_path, monkeypatch, planted
+):
+    # JSON-equal is not enough: only the bytes a search writes are trusted
+    a, b = pres("Eta2:0,2"), pres("Eta2:0,-2")
+    fresh = search(a, b, 2)
+    honest = json.dumps(fresh.to_json())
+    assert planted != honest
+    cache_file = cache_entry_path(tmp_path, "Eta2:0,2", "Eta2:0,-2", 2)
+    cache_file.write_text(planted)
+    searches = []
+
+    def counting_search(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(catalog, "search", counting_search)
+    assert _cached_search(a, b, 2, str(tmp_path)) == fresh
+    assert len(searches) == 1
+    assert cache_file.read_text() == honest  # rewritten
 
 
 def test_a_forged_large_matrix_is_recomputed_before_any_determinant(
@@ -783,21 +816,29 @@ def test_a_forged_large_matrix_is_recomputed_before_any_determinant(
 def test_a_cache_hit_is_re_derived_in_one_pass(
     tmp_path, monkeypatch, a, b, verifies
 ):
-    # a hit serializes once, verifies only a certificate and never searches
+    # past the bound's exhausted text, made once, a certificate hit parses,
+    # verifies and serializes once; an exhausted hit is one text comparison
     first = _cached_search(pres(a), pres(b), 2, str(tmp_path))
+    catalog._exhausted.cache_clear()
     calls = Counter()
 
-    def spy(name, real):
+    def spy(owner, name, real):
         def spying(*args):
             calls[name] += 1
             return real(*args)
-        monkeypatch.setattr(catalog, name, spying)
+        monkeypatch.setattr(owner, name, spying)
 
-    spy("_entry_text", catalog._entry_text)
-    spy("verify", catalog.verify)
-    spy("search", catalog.search)
+    spy(catalog, "_entry_text", catalog._entry_text)
+    spy(catalog, "verify", catalog.verify)
+    spy(catalog, "search", catalog.search)
+    spy(json, "loads", json.loads)
     assert _cached_search(pres(a), pres(b), 2, str(tmp_path)) == first
-    assert calls == Counter(_entry_text=1, verify=verifies)
+    assert calls == Counter(_entry_text=1 + verifies, verify=verifies,
+                            loads=verifies)
+    calls.clear()
+    assert _cached_search(pres(a), pres(b), 2, str(tmp_path)) == first
+    assert calls == Counter(_entry_text=verifies, verify=verifies,
+                            loads=verifies)
 
 
 def test_cached_search_keeps_honest_entries(tmp_path):

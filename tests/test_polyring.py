@@ -46,6 +46,11 @@ def test_constructor_validation():
         Poly(2, {(1,): 1})
     with pytest.raises(ValueError, match="negative exponent"):
         Poly(1, {(-1,): 1})
+    # a coefficient is exactly an int: 1.5 is not kept, nor True read as 1
+    for coeff in (1.5, True, 0.0):
+        with pytest.raises(ValueError,
+                           match=f"must be an int, got {coeff!r}"):
+            Poly(2, {(1, 1): coeff})
 
 
 def test_named_constructors():

@@ -25,7 +25,9 @@ from cptower.catalog import (
     THEOREMS, _cache_key, _over, build, families_for_theorem,
 )
 from cptower.towers import MAX_FIBER_DIM, _restrict
-from conftest import cp, cp_spec, hirzebruch, hirzebruch_spec, trivial_tower
+from conftest import (
+    cp, cp_spec, fam, hirzebruch, hirzebruch_spec, trivial_tower,
+)
 from oracles import dense_multiplication_table
 
 # the most digits int() converts from a decimal string; 0 for no limit
@@ -60,6 +62,9 @@ def test_towerspec_validation_messages():
         with pytest.raises(TowerSpecError,
                            match=f"stage 1 fiber_dim must be an int, got {n!r}"):
             TowerSpec((Stage(n, (Poly.zero(0),) * 3),))
+    # nor is a Chern coefficient 1.5: H_1.5 would hold the term 1.5xy
+    with pytest.raises(ValueError, match="must be an int, got 1.5"):
+        hirzebruch_spec(1.5)
     with pytest.raises(TowerSpecError, match="stage 1 expects 2 chern classes, got 1"):
         TowerSpec((Stage(1, (Poly.zero(0),)),))
     with pytest.raises(
@@ -765,6 +770,45 @@ def test_towerspec_from_json_checks_each_stage_a_bounded_number_of_times(
     data = {"stages": [{"fiber_dim": "1", "chern": [[], []]}] * 40}
     assert towerspec_from_json(data).ngens == 40
     assert calls == list(range(1, 41))
+
+
+@pytest.mark.parametrize("text", ["Zeta3:1,0,2", "Xi3:0,1,-1", "M8:0,2"])
+def test_a_catalog_build_checks_only_its_new_stage(monkeypatch, text):
+    # the base spec's stages were checked when it was built
+    calls = []
+    real = towers._check_stage
+
+    def counting(idx, stage):
+        calls.append(idx)
+        return real(idx, stage)
+
+    monkeypatch.setattr(towers, "_check_stage", counting)
+    spec = build(fam(text))
+    assert calls == [spec.ngens]
+    assert spec == TowerSpec(spec.stages)
+
+
+@pytest.mark.parametrize("stage", [
+    Stage(0, ()),
+    Stage(1, (Poly.zero(2), Poly.zero(2))),
+    Stage(1, (Poly.constant(1, 3), Poly.zero(1))),
+    Stage(2.0, (Poly.zero(1),) * 3),
+])
+def test_with_stage_refuses_as_the_constructor_does(stage):
+    base = cp_spec(2)
+    with pytest.raises(TowerSpecError) as expected:
+        TowerSpec(base.stages + (stage,))
+    with pytest.raises(TowerSpecError) as got:
+        base.with_stage(stage)
+    assert str(got.value) == str(expected.value)
+
+
+def test_with_stage_checks_the_tower_size():
+    stages = [Stage(1, (Poly.zero(k), Poly.zero(k))) for k in range(1415)]
+    base = TowerSpec(stages[:-1])
+    with pytest.raises(TowerSpecError, match="a tower of 1415 stages and 0 "
+                       "chern terms has 2002225 presentation exponents"):
+        base.with_stage(stages[-1])
 
 
 def test_towerspec_from_json_forward_reference():
